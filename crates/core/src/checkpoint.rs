@@ -14,11 +14,22 @@
 //! ```
 //!
 //! Each checkpoint file is written atomically (temp file + fsync + rename,
-//! see [`sqlog_log::atomic`]) and carries a header line with the payload's
-//! byte length and FNV-1a hash — a torn or tampered write is always
-//! detectable, never silently half-loaded. The payload is explicit JSON
-//! (the vendored serde is a no-op stand-in), with the ingested/clean/
-//! removal logs embedded in their TSV wire form.
+//! see [`sqlog_log::atomic`]) and carries a JSON header line with the
+//! payload's byte length and FNV-1a hash — a torn or tampered write is
+//! always detectable, never silently half-loaded. The payload is the
+//! compact binary [`Wire`] encoding of the stage's output, minus what the
+//! run can cheaply rebuild:
+//!
+//! * `ingest` stores only the ingest statistics. The entries are re-read
+//!   from the input, which the manifest pins by length and hash, and must
+//!   reproduce the stored statistics.
+//! * `dedup`, `parse`, `sessions`, `mine` and `detect` store their output
+//!   (kept base-log indices; templates and parsed records; sessions;
+//!   patterns; antipattern instances) with their accounting.
+//! * `solve` stores the solvers' choices — for each solved instance its
+//!   index into detect's instance list and the statements its solver
+//!   produced — plus the overlap count. Loading it re-assembles the clean
+//!   and removal logs with the same function a live run ends with.
 //!
 //! `sqlog-clean --resume DIR` validates the manifest against the current
 //! config and input — refusing with a precise diagnostic on mismatch —
@@ -29,9 +40,9 @@
 //! setting and still produce byte-identical output: every stage operator
 //! is deterministic over its checkpointed inputs.
 //!
-//! A corrupted checkpoint is a non-fatal diagnostic: the stage (and
-//! everything after it, whose checkpoints are then stale) is simply
-//! re-run and re-checkpointed.
+//! A corrupted checkpoint — or one from another checkpoint schema — is a
+//! non-fatal diagnostic: the stage (and everything after it, whose
+//! checkpoints are then stale) is simply re-run and re-checkpointed.
 
 use crate::dedup::DedupStats;
 use crate::detect::{AntipatternClass, AntipatternInstance};
@@ -39,26 +50,27 @@ use crate::fault;
 use crate::mine::{MinedPatterns, PatternData, Session, Sessions};
 use crate::parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord};
 use crate::pipeline::{DetectOutput, Pipeline, PipelineResult};
-use crate::solve::{SolveOutcome, SolvedRewrite};
+use crate::solve::ChosenRewrites;
 use crate::stats::StageTimings;
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_catalog::Catalog;
-use sqlog_log::{read_log, write_log, AtomicFile, IngestPolicy, IngestStats, LogView, QueryLog};
+use sqlog_log::{AtomicFile, IngestPolicy, IngestStats, LogView, QueryLog};
 use sqlog_obs::{Json, Recorder, SpanId};
 use sqlog_skeleton::{
     Fingerprint, Fnv1a, OutputColumns, PredicateKind, PredicateProfile, QueryTemplate, Theta,
     ValueKind,
 };
 use sqlog_sql::StatementKind;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Version written into every manifest.
 pub const MANIFEST_SCHEMA: u64 = 1;
 /// Version written into every checkpoint header.
-pub const CHECKPOINT_SCHEMA: u64 = 1;
+pub const CHECKPOINT_SCHEMA: u64 = 2;
 
 /// The checkpointable pipeline stages, in execution order.
 ///
@@ -213,21 +225,35 @@ pub struct RunDir {
 }
 
 impl RunDir {
-    /// Creates (or re-initializes) a run directory for a **fresh** run:
-    /// the directory and its `checkpoints/` subdirectory are created, and
-    /// any checkpoints or manifest left by a previous run are removed.
-    /// Use [`RunDir::open`] to resume instead.
+    /// Creates (or re-initializes) a run directory for a **fresh** run.
+    /// Everything a previous run left in the directory's layout is
+    /// removed — the manifest, the whole `checkpoints/` subdirectory
+    /// (including temp files a crash mid-write left behind) and the
+    /// default quarantine sidecar — so the run starts empty. Other files
+    /// in the directory are left alone. Use [`RunDir::open`] to resume
+    /// instead.
     pub fn create(root: impl AsRef<Path>) -> Result<RunDir, String> {
         let dir = RunDir {
             root: root.as_ref().to_path_buf(),
         };
-        std::fs::create_dir_all(dir.checkpoints_dir())
-            .map_err(|e| format!("cannot create run directory {}: {e}", dir.root.display()))?;
-        // A fresh run must not accidentally resume from stale state.
-        let _ = std::fs::remove_file(dir.manifest_path());
-        for stage in Stage::ALL {
-            let _ = std::fs::remove_file(dir.checkpoint_path(stage));
+        let cleared = |path: &Path, removed: std::io::Result<()>| match removed {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(format!(
+                "cannot clear {} for a fresh run: {e}",
+                path.display()
+            )),
+            _ => Ok(()),
+        };
+        let checkpoints = dir.checkpoints_dir();
+        cleared(&checkpoints, std::fs::remove_dir_all(&checkpoints))?;
+        for file in [dir.manifest_path(), dir.quarantine_path()] {
+            let mut tmp = file.clone().into_os_string();
+            tmp.push(".tmp");
+            for path in [file, PathBuf::from(tmp)] {
+                cleared(&path, std::fs::remove_file(&path))?;
+            }
         }
+        std::fs::create_dir_all(&checkpoints)
+            .map_err(|e| format!("cannot create run directory {}: {e}", dir.root.display()))?;
         Ok(dir)
     }
 
@@ -389,18 +415,13 @@ pub fn hash_file(path: &Path) -> Result<(u64, u64), String> {
 }
 
 // ---------------------------------------------------------------------------
-// JSON helpers (the vendored serde is a no-op; serialization is explicit,
-// in the style of `run_report`).
+// JSON helpers for the manifest and the checkpoint header line (the
+// vendored serde is a no-op; serialization is explicit, in the style of
+// `run_report`).
 
 fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer {key:?}"))
-}
-
-fn get_usize(v: &Json, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Json::as_usize)
         .ok_or_else(|| format!("missing or non-integer {key:?}"))
 }
 
@@ -416,416 +437,392 @@ fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
         .ok_or_else(|| format!("missing or non-boolean {key:?}"))
 }
 
-fn get_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array {key:?}"))
-}
+// ---------------------------------------------------------------------------
+// The payload codec
 
-fn u(v: usize) -> Json {
-    Json::U64(v as u64)
-}
+/// A value with a checkpoint-payload encoding.
+///
+/// The wire format is plain: integers are unsigned LEB128 varints, strings
+/// and sequences carry a varint length prefix, and enum variants a one-byte
+/// tag. Values encode straight into the payload buffer and decode straight
+/// from the file's bytes, with no intermediate tree. Every read is
+/// bounds-checked, so damaged bytes decode to an error, never to a panic
+/// or an allocation out of proportion to the payload.
+pub trait Wire: Sized {
+    /// Appends the encoding of `self` to `w`.
+    fn put(&self, w: &mut Vec<u8>);
 
-fn u32s(v: &[Json], what: &str) -> Result<Vec<u32>, String> {
-    v.iter()
-        .map(|x| {
-            x.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("{what}: non-u32 element"))
-        })
-        .collect()
-}
+    /// Decodes one value from the front of `r`.
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String>;
 
-fn usizes(v: &[Json], what: &str) -> Result<Vec<usize>, String> {
-    v.iter()
-        .map(|x| {
-            x.as_usize()
-                .ok_or_else(|| format!("{what}: non-integer element"))
-        })
-        .collect()
-}
-
-fn log_to_json(log: &QueryLog) -> Json {
-    let mut bytes = Vec::new();
-    write_log(log, &mut bytes).expect("serialize log to memory");
-    Json::Str(String::from_utf8(bytes).expect("TSV log text is UTF-8"))
-}
-
-fn log_from_json(v: &Json, key: &str) -> Result<QueryLog, String> {
-    let text = get_str(v, key)?;
-    read_log(text.as_bytes()).map_err(|e| format!("{key}: embedded log: {e}"))
-}
-
-// --- stage payloads --------------------------------------------------------
-
-fn ingest_to_json(log: &QueryLog, stats: &IngestStats) -> Json {
-    Json::obj(vec![
-        ("log", log_to_json(log)),
-        (
-            "stats",
-            Json::obj(vec![
-                ("lines", u(stats.lines)),
-                ("entries", u(stats.entries)),
-                ("quarantined", u(stats.quarantined)),
-                ("malformed", u(stats.malformed)),
-                ("invalid_utf8", u(stats.invalid_utf8)),
-            ]),
-        ),
-    ])
-}
-
-fn ingest_from_json(v: &Json) -> Result<(QueryLog, IngestStats), String> {
-    let log = log_from_json(v, "log")?;
-    let s = v.get("stats").ok_or("missing \"stats\"")?;
-    let stats = IngestStats {
-        lines: get_usize(s, "lines")?,
-        entries: get_usize(s, "entries")?,
-        quarantined: get_usize(s, "quarantined")?,
-        malformed: get_usize(s, "malformed")?,
-        invalid_utf8: get_usize(s, "invalid_utf8")?,
-    };
-    if stats.entries != log.len() {
-        return Err(format!(
-            "entry count mismatch: stats say {}, log holds {}",
-            stats.entries,
-            log.len()
-        ));
+    /// The encoding of `self` as a standalone payload.
+    fn to_wire(&self) -> Vec<u8> {
+        let mut w = Vec::new();
+        self.put(&mut w);
+        w
     }
-    Ok((log, stats))
-}
 
-fn dedup_to_json(kept: &[u32], stats: &DedupStats) -> Json {
-    Json::obj(vec![
-        (
-            "kept",
-            Json::Arr(kept.iter().map(|&i| Json::U64(i as u64)).collect()),
-        ),
-        (
-            "stats",
-            Json::obj(vec![
-                ("input", u(stats.input)),
-                ("removed", u(stats.removed)),
-                ("kept", u(stats.kept)),
-                ("poison", u(stats.poison)),
-                ("degraded_shards", u(stats.degraded_shards)),
-            ]),
-        ),
-    ])
-}
-
-fn dedup_from_json(v: &Json, log_len: usize) -> Result<(Vec<u32>, DedupStats), String> {
-    let kept = u32s(get_arr(v, "kept")?, "kept")?;
-    if let Some(&bad) = kept.iter().find(|&&i| i as usize >= log_len) {
-        return Err(format!(
-            "kept index {bad} out of bounds for a {log_len}-entry log"
-        ));
-    }
-    let s = v.get("stats").ok_or("missing \"stats\"")?;
-    let stats = DedupStats {
-        input: get_usize(s, "input")?,
-        removed: get_usize(s, "removed")?,
-        kept: get_usize(s, "kept")?,
-        poison: get_usize(s, "poison")?,
-        degraded_shards: get_usize(s, "degraded_shards")?,
-    };
-    if stats.kept != kept.len() {
-        return Err("kept count disagrees with index vector".to_string());
-    }
-    Ok((kept, stats))
-}
-
-fn theta_name(t: Theta) -> &'static str {
-    match t {
-        Theta::Eq => "eq",
-        Theta::NotEq => "ne",
-        Theta::Lt => "lt",
-        Theta::LtEq => "le",
-        Theta::Gt => "gt",
-        Theta::GtEq => "ge",
+    /// Decodes a standalone payload; trailing bytes are an error.
+    fn from_wire(bytes: &[u8]) -> Result<Self, String> {
+        let mut r = WireReader::new(bytes);
+        let v = Self::get(&mut r)?;
+        r.finish()?;
+        Ok(v)
     }
 }
 
-fn theta_from_name(s: &str) -> Result<Theta, String> {
-    Ok(match s {
-        "eq" => Theta::Eq,
-        "ne" => Theta::NotEq,
-        "lt" => Theta::Lt,
-        "le" => Theta::LtEq,
-        "gt" => Theta::Gt,
-        "ge" => Theta::GtEq,
-        other => return Err(format!("unknown theta {other:?}")),
-    })
+/// A bounds-checked cursor over [`Wire`]-encoded bytes.
+pub struct WireReader<'a> {
+    buf: &'a [u8],
 }
 
-fn value_to_json(v: &ValueKind) -> Json {
-    let (tag, val) = match v {
-        ValueKind::Number(s) => ("num", Some(Json::Str(s.clone()))),
-        ValueKind::String(s) => ("str", Some(Json::Str(s.clone()))),
-        ValueKind::Null => ("null", None),
-        ValueKind::Bool(b) => ("bool", Some(Json::Bool(*b))),
-        ValueKind::Variable(s) => ("var", Some(Json::Str(s.clone()))),
-        ValueKind::Column(s) => ("col", Some(Json::Str(s.clone()))),
-        ValueKind::Complex => ("complex", None),
-    };
-    let mut pairs = vec![("t", Json::Str(tag.to_string()))];
-    if let Some(val) = val {
-        pairs.push(("v", val));
+impl<'a> WireReader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        WireReader { buf }
     }
-    Json::obj(pairs)
-}
 
-fn value_from_json(v: &Json) -> Result<ValueKind, String> {
-    let sv = |v: &Json| -> Result<String, String> { Ok(get_str(v, "v")?.to_string()) };
-    Ok(match get_str(v, "t")? {
-        "num" => ValueKind::Number(sv(v)?),
-        "str" => ValueKind::String(sv(v)?),
-        "null" => ValueKind::Null,
-        "bool" => ValueKind::Bool(get_bool(v, "v")?),
-        "var" => ValueKind::Variable(sv(v)?),
-        "col" => ValueKind::Column(sv(v)?),
-        "complex" => ValueKind::Complex,
-        other => return Err(format!("unknown value kind {other:?}")),
-    })
-}
+    /// Fails unless every byte was consumed.
+    pub fn finish(self) -> Result<(), String> {
+        match self.buf.len() {
+            0 => Ok(()),
+            n => Err(format!("{n} trailing bytes after the payload")),
+        }
+    }
 
-fn predicate_to_json(p: &PredicateKind) -> Json {
-    match p {
-        PredicateKind::Comparison {
-            column,
-            theta,
-            value,
-        } => Json::obj(vec![
-            ("t", Json::Str("cmp".into())),
-            ("column", Json::Str(column.clone())),
-            ("theta", Json::Str(theta_name(*theta).into())),
-            ("value", value_to_json(value)),
-        ]),
-        PredicateKind::Between {
-            column,
-            low,
-            high,
-            negated,
-        } => Json::obj(vec![
-            ("t", Json::Str("between".into())),
-            ("column", Json::Str(column.clone())),
-            ("low", value_to_json(low)),
-            ("high", value_to_json(high)),
-            ("negated", Json::Bool(*negated)),
-        ]),
-        PredicateKind::InList {
-            column,
-            values,
-            negated,
-        } => Json::obj(vec![
-            ("t", Json::Str("in".into())),
-            ("column", Json::Str(column.clone())),
-            (
-                "values",
-                Json::Arr(values.iter().map(value_to_json).collect()),
-            ),
-            ("negated", Json::Bool(*negated)),
-        ]),
-        PredicateKind::IsNull { column, negated } => Json::obj(vec![
-            ("t", Json::Str("isnull".into())),
-            ("column", Json::Str(column.clone())),
-            ("negated", Json::Bool(*negated)),
-        ]),
-        PredicateKind::Like {
-            column,
-            pattern,
-            negated,
-        } => Json::obj(vec![
-            ("t", Json::Str("like".into())),
-            ("column", Json::Str(column.clone())),
-            ("pattern", value_to_json(pattern)),
-            ("negated", Json::Bool(*negated)),
-        ]),
-        PredicateKind::Other => Json::obj(vec![("t", Json::Str("other".into()))]),
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if n > self.buf.len() {
+            return Err(format!(
+                "truncated payload: {n} bytes wanted, {} left",
+                self.buf.len()
+            ));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    fn byte(&mut self) -> Result<u8, String> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn varint(&mut self) -> Result<u64, String> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = self.byte()?;
+            let bits = u64::from(b & 0x7f);
+            if (bits << shift) >> shift != bits {
+                return Err("varint overflows 64 bits".to_string());
+            }
+            v |= bits << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err("varint longer than 10 bytes".to_string())
+    }
+
+    /// A length prefix. Every encoded element takes at least one byte, so
+    /// a length beyond the bytes left is damage, not a size to allocate.
+    fn len(&mut self) -> Result<usize, String> {
+        let n = usize::get(self)?;
+        if n > self.buf.len() {
+            return Err(format!(
+                "length {n} exceeds the {} bytes left",
+                self.buf.len()
+            ));
+        }
+        Ok(n)
     }
 }
 
-fn predicate_from_json(v: &Json) -> Result<PredicateKind, String> {
-    let col = |v: &Json| -> Result<String, String> { Ok(get_str(v, "column")?.to_string()) };
-    Ok(match get_str(v, "t")? {
-        "cmp" => PredicateKind::Comparison {
-            column: col(v)?,
-            theta: theta_from_name(get_str(v, "theta")?)?,
-            value: value_from_json(v.get("value").ok_or("missing \"value\"")?)?,
-        },
-        "between" => PredicateKind::Between {
-            column: col(v)?,
-            low: value_from_json(v.get("low").ok_or("missing \"low\"")?)?,
-            high: value_from_json(v.get("high").ok_or("missing \"high\"")?)?,
-            negated: get_bool(v, "negated")?,
-        },
-        "in" => PredicateKind::InList {
-            column: col(v)?,
-            values: get_arr(v, "values")?
-                .iter()
-                .map(value_from_json)
-                .collect::<Result<_, _>>()?,
-            negated: get_bool(v, "negated")?,
-        },
-        "isnull" => PredicateKind::IsNull {
-            column: col(v)?,
-            negated: get_bool(v, "negated")?,
-        },
-        "like" => PredicateKind::Like {
-            column: col(v)?,
-            pattern: value_from_json(v.get("pattern").ok_or("missing \"pattern\"")?)?,
-            negated: get_bool(v, "negated")?,
-        },
-        "other" => PredicateKind::Other,
-        other => return Err(format!("unknown predicate kind {other:?}")),
-    })
+fn put_varint(w: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        w.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    w.push(v as u8);
 }
 
-fn template_to_json(t: &QueryTemplate) -> Json {
-    Json::obj(vec![
-        ("ssc", Json::Str(t.ssc.clone())),
-        ("sfc", Json::Str(t.sfc.clone())),
-        ("swc", Json::Str(t.swc.clone())),
-        ("sc", Json::Str(t.sc.clone())),
-        ("fc", Json::Str(t.fc.clone())),
-        ("wc", Json::Str(t.wc.clone())),
-        ("tail", Json::Str(t.tail.clone())),
-        ("full", Json::Str(t.full.clone())),
-        ("fingerprint", Json::U64(t.fingerprint.0)),
-        ("triple_fingerprint", Json::U64(t.triple_fingerprint.0)),
-    ])
+/// [`Wire`] for unsigned integers: one varint, range-checked on decode.
+macro_rules! wire_uint {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                put_varint(w, *self as u64);
+            }
+            fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+                <$ty>::try_from(r.varint()?).map_err(|e| e.to_string())
+            }
+        }
+    )*};
 }
 
-fn template_from_json(v: &Json) -> Result<QueryTemplate, String> {
-    let s = |key: &str| -> Result<String, String> { Ok(get_str(v, key)?.to_string()) };
-    Ok(QueryTemplate {
-        ssc: s("ssc")?,
-        sfc: s("sfc")?,
-        swc: s("swc")?,
-        sc: s("sc")?,
-        fc: s("fc")?,
-        wc: s("wc")?,
-        tail: s("tail")?,
-        full: s("full")?,
-        fingerprint: Fingerprint(get_u64(v, "fingerprint")?),
-        triple_fingerprint: Fingerprint(get_u64(v, "triple_fingerprint")?),
-    })
-}
+wire_uint!(u64, u32, usize);
 
-fn kind_name(k: StatementKind) -> &'static str {
-    match k {
-        StatementKind::Insert => "insert",
-        StatementKind::Update => "update",
-        StatementKind::Delete => "delete",
-        StatementKind::Ddl => "ddl",
-        StatementKind::Exec => "exec",
-        StatementKind::Other => "other",
+impl Wire for bool {
+    fn put(&self, w: &mut Vec<u8>) {
+        w.push(u8::from(*self));
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        match r.byte()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("bool byte {b}")),
+        }
     }
 }
 
-fn kind_from_name(s: &str) -> Result<StatementKind, String> {
-    Ok(match s {
-        "insert" => StatementKind::Insert,
-        "update" => StatementKind::Update,
-        "delete" => StatementKind::Delete,
-        "ddl" => StatementKind::Ddl,
-        "exec" => StatementKind::Exec,
-        "other" => StatementKind::Other,
-        other => return Err(format!("unknown statement kind {other:?}")),
-    })
+impl Wire for String {
+    fn put(&self, w: &mut Vec<u8>) {
+        put_varint(w, self.len() as u64);
+        w.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        let n = r.len()?;
+        String::from_utf8(r.take(n)?.to_vec()).map_err(|_| "string is not UTF-8".to_string())
+    }
 }
 
-fn parse_to_json(store: &TemplateStore, parsed: &ParsedLog) -> Json {
-    let templates: Vec<Json> = (0..store.len())
-        .map(|i| store.with(TemplateId(i as u32), template_to_json))
-        .collect();
-    let records: Vec<Json> = parsed
-        .records
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("entry_idx", Json::U64(r.entry_idx as u64)),
-                ("template", Json::U64(r.template.0 as u64)),
-                (
-                    "profile",
-                    Json::Arr(r.profile.conjuncts.iter().map(predicate_to_json).collect()),
-                ),
-                (
-                    "output",
-                    Json::obj(vec![
-                        ("wildcard", Json::Bool(r.output.wildcard)),
-                        (
-                            "names",
-                            Json::Arr(
-                                r.output
-                                    .names
-                                    .iter()
-                                    .map(|n| Json::Str(n.clone()))
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                ),
-                (
-                    "primary_table",
-                    match &r.primary_table {
-                        Some(t) => Json::Str(t.clone()),
-                        None => Json::Null,
-                    },
-                ),
-            ])
-        })
-        .collect();
-    let mut non_select: Vec<(StatementKind, usize)> = parsed
-        .stats
-        .non_select
-        .iter()
-        .map(|(&k, &n)| (k, n))
-        .collect();
-    non_select.sort_by_key(|(k, _)| kind_name(*k));
-    Json::obj(vec![
-        ("templates", Json::Arr(templates)),
-        ("records", Json::Arr(records)),
-        (
-            "stats",
-            Json::obj(vec![
-                ("total", u(parsed.stats.total)),
-                ("selects", u(parsed.stats.selects)),
-                ("errors", u(parsed.stats.errors)),
-                ("limit_exceeded", u(parsed.stats.limit_exceeded)),
-                ("poison", u(parsed.stats.poison)),
-                ("degraded_shards", u(parsed.stats.degraded_shards)),
-                (
-                    "non_select",
-                    Json::Obj(
-                        non_select
-                            .into_iter()
-                            .map(|(k, n)| (kind_name(k).to_string(), u(n)))
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ),
-        (
-            "cache",
-            Json::obj(vec![
-                ("enabled", Json::Bool(parsed.cache.enabled)),
-                ("hits", Json::U64(parsed.cache.hits)),
-                ("misses", Json::U64(parsed.cache.misses)),
-                ("fallbacks", Json::U64(parsed.cache.fallbacks)),
-                ("crosschecks", Json::U64(parsed.cache.crosschecks)),
-            ]),
-        ),
-    ])
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        match self {
+            None => w.push(0),
+            Some(v) => {
+                w.push(1);
+                v.put(w);
+            }
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        match r.byte()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            b => Err(format!("option tag {b}")),
+        }
+    }
 }
 
-fn parse_from_json(
-    v: &Json,
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Vec<u8>) {
+        put_varint(w, self.len() as u64);
+        for v in self {
+            v.put(w);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        // Exact capacity: a decoded log holds hundreds of thousands of
+        // small vectors, and growth slack would cost more than the data.
+        let n = r.len()?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::get(r)?);
+        }
+        Ok(v)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// Map entries are written in the order of their keys' encodings, so
+/// equal maps encode to equal bytes whatever their iteration order.
+impl<K: Wire + Eq + Hash, V: Wire, S: BuildHasher + Default> Wire for HashMap<K, V, S> {
+    fn put(&self, w: &mut Vec<u8>) {
+        let mut entries: Vec<(Vec<u8>, &V)> = self.iter().map(|(k, v)| (k.to_wire(), v)).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        put_varint(w, entries.len() as u64);
+        for (key, v) in entries {
+            w.extend_from_slice(&key);
+            v.put(w);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        let n = r.len()?;
+        let mut map = HashMap::with_capacity_and_hasher(n, S::default());
+        for _ in 0..n {
+            let key = K::get(r)?;
+            if map.insert(key, V::get(r)?).is_some() {
+                return Err("duplicate map key".to_string());
+            }
+        }
+        Ok(map)
+    }
+}
+
+/// A set is the map from its elements to nothing.
+impl<T: Wire + Eq + Hash, S: BuildHasher + Default> Wire for HashSet<T, S> {
+    fn put(&self, w: &mut Vec<u8>) {
+        let mut elems: Vec<Vec<u8>> = self.iter().map(Wire::to_wire).collect();
+        elems.sort_unstable();
+        put_varint(w, elems.len() as u64);
+        for e in elems {
+            w.extend_from_slice(&e);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        let n = r.len()?;
+        let mut set = HashSet::with_capacity_and_hasher(n, S::default());
+        for _ in 0..n {
+            if !set.insert(T::get(r)?) {
+                return Err("duplicate set element".to_string());
+            }
+        }
+        Ok(set)
+    }
+}
+
+impl Wire for TemplateId {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.0.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        Ok(TemplateId(u32::get(r)?))
+    }
+}
+
+impl Wire for Fingerprint {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.0.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        Ok(Fingerprint(u64::get(r)?))
+    }
+}
+
+/// [`Wire`] for structs: the fields in the order listed. `get` builds a
+/// struct literal, so a field added to a type but not listed here fails
+/// to compile instead of silently dropping out of checkpoints.
+macro_rules! wire_struct {
+    ($($ty:ty { $($field:ident),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                $(self.$field.put(w);)*
+            }
+            fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+                Ok(Self { $($field: Wire::get(r)?,)* })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    IngestStats { lines, entries, quarantined, malformed, invalid_utf8 }
+    DedupStats { input, removed, kept, poison, degraded_shards }
+    QueryTemplate { ssc, sfc, swc, sc, fc, wc, tail, full, fingerprint, triple_fingerprint }
+    PredicateProfile { conjuncts }
+    OutputColumns { wildcard, names }
+    ParsedRecord { entry_idx, template, profile, output, primary_table }
+    ParseStats { total, selects, errors, limit_exceeded, poison, degraded_shards, non_select }
+    ParseCacheStats { enabled, hits, misses, fallbacks, crosschecks }
+    ParsedLog { records, stats, cache }
+    Session { user, records }
+    Sessions { sessions, user_names, poison, degraded_shards }
+    PatternData { frequency, users }
+    MinedPatterns { patterns, total_queries, poison_sessions, degraded_shards }
+    AntipatternInstance { class, records, identity, marker_keys, solvable }
+    DetectOutput { instances, poison_sessions, degraded_shards }
+    ChosenRewrites { solved, skipped_overlaps }
+}
+
+/// [`Wire`] for enums: a tag byte, then the variant's fields in the order
+/// listed. Covers unit, one-field tuple and struct variants; `put`'s match
+/// is exhaustive, so a variant added to a type fails to compile here.
+macro_rules! wire_enum {
+    ($($ty:ident {
+        $($tag:literal => $variant:ident $(($inner:ident))? $({ $($field:ident),* })?),* $(,)?
+    })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($inner))? $({ $($field),* })? => {
+                        w.push($tag);
+                        $($inner.put(w);)?
+                        $($($field.put(w);)*)?
+                    })*
+                }
+            }
+            fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+                Ok(match r.byte()? {
+                    $($tag => $ty::$variant
+                        $(({ let $inner = Wire::get(r)?; $inner }))?
+                        $({ $($field: Wire::get(r)?),* })?,)*
+                    t => return Err(format!(concat!("unknown ", stringify!($ty), " tag {}"), t)),
+                })
+            }
+        }
+    )*};
+}
+
+wire_enum! {
+    Theta { 0 => Eq, 1 => NotEq, 2 => Lt, 3 => LtEq, 4 => Gt, 5 => GtEq }
+    StatementKind { 0 => Insert, 1 => Update, 2 => Delete, 3 => Ddl, 4 => Exec, 5 => Other }
+    ValueKind {
+        0 => Number(s),
+        1 => String(s),
+        2 => Null,
+        3 => Bool(b),
+        4 => Variable(s),
+        5 => Column(s),
+        6 => Complex,
+    }
+    PredicateKind {
+        0 => Comparison { column, theta, value },
+        1 => Between { column, low, high, negated },
+        2 => InList { column, values, negated },
+        3 => IsNull { column, negated },
+        4 => Like { column, pattern, negated },
+        5 => Other,
+    }
+    AntipatternClass {
+        0 => DwStifle,
+        1 => DsStifle,
+        2 => DfStifle,
+        3 => CthCandidate,
+        4 => Snc,
+        5 => Custom(name),
+    }
+}
+
+// --- stage payloads that need more than their type's encoding ------------
+
+/// Fails on the first index outside `0..bound`.
+fn check_bounds(
+    indices: impl IntoIterator<Item = usize>,
+    bound: usize,
+    what: &str,
+) -> Result<(), String> {
+    match indices.into_iter().find(|&i| i >= bound) {
+        Some(bad) => Err(format!("{what} {bad} out of bounds (< {bound})")),
+        None => Ok(()),
+    }
+}
+
+/// The parse payload: the templates in id order (a `Vec<QueryTemplate>`
+/// on the wire, encoded straight from the store), then the parsed log.
+fn put_parse(store: &TemplateStore, parsed: &ParsedLog, w: &mut Vec<u8>) {
+    put_varint(w, store.len() as u64);
+    for i in 0..store.len() {
+        store.with(TemplateId(i as u32), |t| t.put(w));
+    }
+    parsed.put(w);
+}
+
+fn get_parse(
+    r: &mut WireReader<'_>,
     pre_clean_len: usize,
     rec: &Recorder,
 ) -> Result<(TemplateStore, ParsedLog), String> {
     let store = TemplateStore::with_recorder(rec.clone());
-    for (i, tv) in get_arr(v, "templates")?.iter().enumerate() {
-        let id = store.intern(template_from_json(tv)?);
+    for i in 0..r.len()? {
+        let id = store.intern(QueryTemplate::get(r)?);
         if id != TemplateId(i as u32) {
             return Err(format!(
                 "template {i} interned as id {} — duplicate fingerprint in checkpoint",
@@ -833,376 +830,19 @@ fn parse_from_json(
             ));
         }
     }
-    let n_templates = store.len();
-    let mut records = Vec::new();
-    for rv in get_arr(v, "records")? {
-        let entry_idx = get_usize(rv, "entry_idx")?;
-        if entry_idx >= pre_clean_len {
-            return Err(format!(
-                "record entry_idx {entry_idx} out of bounds for a {pre_clean_len}-entry log"
-            ));
-        }
-        let template = get_usize(rv, "template")?;
-        if template >= n_templates {
-            return Err(format!("record template id {template} out of bounds"));
-        }
-        let output = rv.get("output").ok_or("missing \"output\"")?;
-        records.push(ParsedRecord {
-            entry_idx: entry_idx as u32,
-            template: TemplateId(template as u32),
-            profile: PredicateProfile {
-                conjuncts: get_arr(rv, "profile")?
-                    .iter()
-                    .map(predicate_from_json)
-                    .collect::<Result<_, _>>()?,
-            },
-            output: OutputColumns {
-                wildcard: get_bool(output, "wildcard")?,
-                names: get_arr(output, "names")?
-                    .iter()
-                    .map(|n| {
-                        n.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "non-string output name".to_string())
-                    })
-                    .collect::<Result<_, _>>()?,
-            },
-            primary_table: match rv.get("primary_table") {
-                Some(Json::Null) | None => None,
-                Some(t) => Some(t.as_str().ok_or("non-string primary_table")?.to_string()),
-            },
-        });
-    }
-    let s = v.get("stats").ok_or("missing \"stats\"")?;
-    let mut non_select = std::collections::HashMap::new();
-    for (k, n) in s
-        .get("non_select")
-        .and_then(Json::as_obj)
-        .ok_or("missing \"non_select\"")?
-    {
-        non_select.insert(
-            kind_from_name(k)?,
-            n.as_usize().ok_or("non-integer non_select count")?,
-        );
-    }
-    let c = v.get("cache").ok_or("missing \"cache\"")?;
-    Ok((
-        store,
-        ParsedLog {
-            records,
-            stats: ParseStats {
-                total: get_usize(s, "total")?,
-                selects: get_usize(s, "selects")?,
-                errors: get_usize(s, "errors")?,
-                limit_exceeded: get_usize(s, "limit_exceeded")?,
-                poison: get_usize(s, "poison")?,
-                degraded_shards: get_usize(s, "degraded_shards")?,
-                non_select,
-            },
-            cache: ParseCacheStats {
-                enabled: get_bool(c, "enabled")?,
-                hits: get_u64(c, "hits")?,
-                misses: get_u64(c, "misses")?,
-                fallbacks: get_u64(c, "fallbacks")?,
-                crosschecks: get_u64(c, "crosschecks")?,
-            },
-        },
-    ))
-}
-
-fn sessions_to_json(sessions: &Sessions) -> Json {
-    Json::obj(vec![
-        (
-            "user_names",
-            Json::Arr(
-                sessions
-                    .user_names
-                    .iter()
-                    .map(|n| Json::Str(n.clone()))
-                    .collect(),
-            ),
-        ),
-        (
-            "sessions",
-            Json::Arr(
-                sessions
-                    .sessions
-                    .iter()
-                    .map(|s| {
-                        Json::obj(vec![
-                            ("user", Json::U64(s.user as u64)),
-                            (
-                                "records",
-                                Json::Arr(s.records.iter().map(|&r| u(r)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("poison", u(sessions.poison)),
-        ("degraded_shards", u(sessions.degraded_shards)),
-    ])
-}
-
-fn sessions_from_json(v: &Json, n_records: usize) -> Result<Sessions, String> {
-    let user_names: Vec<String> = get_arr(v, "user_names")?
-        .iter()
-        .map(|n| {
-            n.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| "non-string user name".to_string())
-        })
-        .collect::<Result<_, _>>()?;
-    let mut sessions = Vec::new();
-    for sv in get_arr(v, "sessions")? {
-        let user = get_usize(sv, "user")?;
-        if user >= user_names.len() {
-            return Err(format!("session user id {user} out of bounds"));
-        }
-        let records = usizes(get_arr(sv, "records")?, "session records")?;
-        if let Some(&bad) = records.iter().find(|&&r| r >= n_records) {
-            return Err(format!("session record index {bad} out of bounds"));
-        }
-        sessions.push(Session {
-            user: user as u32,
-            records,
-        });
-    }
-    Ok(Sessions {
-        sessions,
-        user_names,
-        poison: get_usize(v, "poison")?,
-        degraded_shards: get_usize(v, "degraded_shards")?,
-    })
-}
-
-fn mine_to_json(mined: &MinedPatterns) -> Json {
-    let mut patterns: Vec<(&Vec<TemplateId>, &PatternData)> = mined.patterns.iter().collect();
-    patterns.sort_by(|a, b| a.0.cmp(b.0));
-    Json::obj(vec![
-        (
-            "patterns",
-            Json::Arr(
-                patterns
-                    .into_iter()
-                    .map(|(key, data)| {
-                        let mut users: Vec<u32> = data.users.iter().copied().collect();
-                        users.sort_unstable();
-                        Json::obj(vec![
-                            (
-                                "key",
-                                Json::Arr(key.iter().map(|t| Json::U64(t.0 as u64)).collect()),
-                            ),
-                            ("frequency", Json::U64(data.frequency)),
-                            (
-                                "users",
-                                Json::Arr(users.into_iter().map(|u| Json::U64(u as u64)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("total_queries", Json::U64(mined.total_queries)),
-        ("poison_sessions", u(mined.poison_sessions)),
-        ("degraded_shards", u(mined.degraded_shards)),
-    ])
-}
-
-fn mine_from_json(v: &Json) -> Result<MinedPatterns, String> {
-    let mut mined = MinedPatterns {
-        total_queries: get_u64(v, "total_queries")?,
-        poison_sessions: get_usize(v, "poison_sessions")?,
-        degraded_shards: get_usize(v, "degraded_shards")?,
-        ..MinedPatterns::default()
-    };
-    for pv in get_arr(v, "patterns")? {
-        let key: Vec<TemplateId> = u32s(get_arr(pv, "key")?, "pattern key")?
-            .into_iter()
-            .map(TemplateId)
-            .collect();
-        let users: HashSet<u32> = u32s(get_arr(pv, "users")?, "pattern users")?
-            .into_iter()
-            .collect();
-        mined.patterns.insert(
-            key,
-            PatternData {
-                frequency: get_u64(pv, "frequency")?,
-                users,
-            },
-        );
-    }
-    Ok(mined)
-}
-
-fn class_to_json(c: &AntipatternClass) -> Json {
-    // Builtin labels and custom names share one namespace; `class_from_json`
-    // resolves builtins first, so a custom class must not collide with a
-    // builtin label — which `ExtensionRegistry` already guarantees in
-    // practice (a custom "DW-Stifle" would be indistinguishable anyway).
-    Json::Str(c.label().to_string())
-}
-
-fn class_from_json(v: &Json) -> Result<AntipatternClass, String> {
-    let label = v.as_str().ok_or("non-string antipattern class")?;
-    Ok(match label {
-        "DW-Stifle" => AntipatternClass::DwStifle,
-        "DS-Stifle" => AntipatternClass::DsStifle,
-        "DF-Stifle" => AntipatternClass::DfStifle,
-        "CTH" => AntipatternClass::CthCandidate,
-        "SNC" => AntipatternClass::Snc,
-        other => AntipatternClass::Custom(other.to_string()),
-    })
-}
-
-fn detect_to_json(detected: &DetectOutput) -> Json {
-    Json::obj(vec![
-        (
-            "instances",
-            Json::Arr(
-                detected
-                    .instances
-                    .iter()
-                    .map(|inst| {
-                        Json::obj(vec![
-                            ("class", class_to_json(&inst.class)),
-                            (
-                                "records",
-                                Json::Arr(inst.records.iter().map(|&r| u(r)).collect()),
-                            ),
-                            (
-                                "identity",
-                                Json::Arr(
-                                    inst.identity
-                                        .iter()
-                                        .map(|t| Json::U64(t.0 as u64))
-                                        .collect(),
-                                ),
-                            ),
-                            (
-                                "marker_keys",
-                                Json::Arr(
-                                    inst.marker_keys
-                                        .iter()
-                                        .map(|key| {
-                                            Json::Arr(
-                                                key.iter().map(|t| Json::U64(t.0 as u64)).collect(),
-                                            )
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                            ("solvable", Json::Bool(inst.solvable)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("poison_sessions", u(detected.poison_sessions)),
-        ("degraded_shards", u(detected.degraded_shards)),
-    ])
-}
-
-fn detect_from_json(v: &Json, n_records: usize) -> Result<DetectOutput, String> {
-    let mut instances = Vec::new();
-    for iv in get_arr(v, "instances")? {
-        let records = usizes(get_arr(iv, "records")?, "instance records")?;
-        if let Some(&bad) = records.iter().find(|&&r| r >= n_records) {
-            return Err(format!("instance record index {bad} out of bounds"));
-        }
-        instances.push(AntipatternInstance {
-            class: class_from_json(iv.get("class").ok_or("missing \"class\"")?)?,
-            records,
-            identity: u32s(get_arr(iv, "identity")?, "identity")?
-                .into_iter()
-                .map(TemplateId)
-                .collect(),
-            marker_keys: get_arr(iv, "marker_keys")?
-                .iter()
-                .map(|kv| {
-                    kv.as_arr()
-                        .ok_or_else(|| "non-array marker key".to_string())
-                        .and_then(|a| u32s(a, "marker key"))
-                        .map(|ids| ids.into_iter().map(TemplateId).collect())
-                })
-                .collect::<Result<_, _>>()?,
-            solvable: get_bool(iv, "solvable")?,
-        });
-    }
-    Ok(DetectOutput {
-        instances,
-        poison_sessions: get_usize(v, "poison_sessions")?,
-        degraded_shards: get_usize(v, "degraded_shards")?,
-    })
-}
-
-fn solve_to_json(outcome: &SolveOutcome) -> Json {
-    Json::obj(vec![
-        ("clean", log_to_json(&outcome.clean_log)),
-        ("removal", log_to_json(&outcome.removal_log)),
-        ("solved_instances", u(outcome.solved_instances)),
-        ("solved_queries", u(outcome.solved_queries)),
-        ("rewritten_statements", u(outcome.rewritten_statements)),
-        ("skipped_overlaps", u(outcome.skipped_overlaps)),
-        (
-            "rewrites",
-            Json::Arr(
-                outcome
-                    .rewrites
-                    .iter()
-                    .map(|rw| {
-                        let strs = |v: &[String]| {
-                            Json::Arr(v.iter().map(|s| Json::Str(s.clone())).collect())
-                        };
-                        Json::obj(vec![
-                            ("class", class_to_json(&rw.class)),
-                            (
-                                "entry_ids",
-                                Json::Arr(rw.entry_ids.iter().map(|&i| Json::U64(i)).collect()),
-                            ),
-                            ("original_statements", strs(&rw.original_statements)),
-                            ("rewritten_statements", strs(&rw.rewritten_statements)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn solve_from_json(v: &Json) -> Result<SolveOutcome, String> {
-    let strings = |v: &Json, key: &str| -> Result<Vec<String>, String> {
-        get_arr(v, key)?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("non-string element in {key:?}"))
-            })
-            .collect()
-    };
-    let mut rewrites = Vec::new();
-    for rv in get_arr(v, "rewrites")? {
-        rewrites.push(SolvedRewrite {
-            class: class_from_json(rv.get("class").ok_or("missing \"class\"")?)?,
-            entry_ids: get_arr(rv, "entry_ids")?
-                .iter()
-                .map(|x| x.as_u64().ok_or_else(|| "non-integer entry id".to_string()))
-                .collect::<Result<_, _>>()?,
-            original_statements: strings(rv, "original_statements")?,
-            rewritten_statements: strings(rv, "rewritten_statements")?,
-        });
-    }
-    Ok(SolveOutcome {
-        clean_log: log_from_json(v, "clean")?,
-        removal_log: log_from_json(v, "removal")?,
-        solved_instances: get_usize(v, "solved_instances")?,
-        solved_queries: get_usize(v, "solved_queries")?,
-        rewritten_statements: get_usize(v, "rewritten_statements")?,
-        skipped_overlaps: get_usize(v, "skipped_overlaps")?,
-        rewrites,
-    })
+    let parsed = ParsedLog::get(r)?;
+    let records = &parsed.records;
+    check_bounds(
+        records.iter().map(|p| p.entry_idx as usize),
+        pre_clean_len,
+        "record entry_idx",
+    )?;
+    check_bounds(
+        records.iter().map(|p| p.template.0 as usize),
+        store.len(),
+        "record template id",
+    )?;
+    Ok((store, parsed))
 }
 
 // ---------------------------------------------------------------------------
@@ -1210,34 +850,38 @@ fn solve_from_json(v: &Json) -> Result<SolveOutcome, String> {
 
 /// Writes a stage checkpoint atomically: header line (stage, schema,
 /// payload length, payload FNV-1a) + payload, via temp file + fsync +
-/// rename. The `checkpoint`-stage fault hook fires *between* writing the
+/// rename. The `checkpoint.write` span covers encoding, hashing and
+/// writing. The `checkpoint`-stage fault hook fires *between* writing the
 /// temp file and the rename — the window where a real crash leaves a torn
 /// temp file but an intact (absent or previous) checkpoint.
 fn write_checkpoint(
     dir: &RunDir,
     rec: &Recorder,
     stage: Stage,
-    payload: &Json,
+    encode: impl FnOnce(&mut Vec<u8>),
 ) -> Result<(), String> {
-    let body = payload.render();
+    let t = Instant::now();
+    let mut span = rec.span("checkpoint.write");
+    span.field("stage", stage.name());
+    let mut body = Vec::new();
+    encode(&mut body);
+    let mut fnv = Fnv1a::new();
+    fnv.update(&body);
     let header = Json::obj(vec![
         ("stage", Json::Str(stage.name().to_string())),
         ("schema", Json::U64(CHECKPOINT_SCHEMA)),
         ("payload_bytes", Json::U64(body.len() as u64)),
-        ("payload_fnv", Json::U64(Fingerprint::of_str(&body).0)),
+        ("payload_fnv", Json::U64(fnv.finish().0)),
     ])
     .render();
     let total = (header.len() + 1 + body.len()) as u64;
-    let t = Instant::now();
-    let mut span = rec.span("checkpoint.write");
-    span.field("stage", stage.name());
     span.field("bytes", total);
     let path = dir.checkpoint_path(stage);
     let err = |e: std::io::Error| format!("cannot write {}: {e}", path.display());
     let mut f = AtomicFile::create(&path).map_err(err)?;
     f.write_all(header.as_bytes()).map_err(err)?;
     f.write_all(b"\n").map_err(err)?;
-    f.write_all(body.as_bytes()).map_err(err)?;
+    f.write_all(&body).map_err(err)?;
     // Chaos hook: die after the bytes exist but before they become the
     // checkpoint. Marker = stage name.
     fault::trip(&fault::armed("checkpoint"), stage.name());
@@ -1249,19 +893,29 @@ fn write_checkpoint(
     Ok(())
 }
 
-/// Reads and validates a stage checkpoint. `Ok(None)` = not present (the
-/// stage was never completed); `Err` = present but unusable (torn write,
-/// corruption, schema drift) — the caller reports it and re-runs the stage.
-fn read_checkpoint(dir: &RunDir, rec: &Recorder, stage: Stage) -> Result<Option<Json>, String> {
+/// Reads, verifies and decodes a stage checkpoint under one
+/// `checkpoint.load` span. `Ok(None)` = not present (the stage was never
+/// completed); `Err` = present but unusable (torn write, corruption,
+/// schema drift, a payload that does not decode or does not fit the
+/// stages before it) — the caller reports it and re-runs the stage.
+fn read_checkpoint<T>(
+    dir: &RunDir,
+    rec: &Recorder,
+    stage: Stage,
+    decode: impl FnOnce(&mut WireReader<'_>) -> Result<T, String>,
+) -> Result<Option<T>, String> {
     let path = dir.checkpoint_path(stage);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
+    let mut file = match std::fs::File::open(&path) {
+        Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
     };
     let t = Instant::now();
     let mut span = rec.span("checkpoint.load");
     span.field("stage", stage.name());
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     span.field("bytes", bytes.len() as u64);
     let nl = bytes
         .iter()
@@ -1291,78 +945,89 @@ fn read_checkpoint(dir: &RunDir, rec: &Recorder, stage: Stage) -> Result<Option<
             body.len()
         ));
     }
-    let body_text = std::str::from_utf8(body).map_err(|_| "checkpoint payload is not UTF-8")?;
-    let fnv = Fingerprint::of_str(body_text).0;
-    let declared_fnv = get_u64(&header, "payload_fnv")?;
+    let mut fnv = Fnv1a::new();
+    fnv.update(body);
+    let (fnv, declared_fnv) = (fnv.finish().0, get_u64(&header, "payload_fnv")?);
     if fnv != declared_fnv {
         return Err(format!(
             "payload hash {fnv:#018x} does not match header {declared_fnv:#018x} (corrupted?)"
         ));
     }
-    let payload = Json::parse(body_text).map_err(|e| format!("checkpoint payload: {e}"))?;
+    let mut r = WireReader::new(body);
+    let v = decode(&mut r).map_err(|e| format!("checkpoint payload: {e}"))?;
+    r.finish().map_err(|e| format!("checkpoint payload: {e}"))?;
     rec.counter("checkpoint.loads", 1);
     rec.histogram("checkpoint.load_us", t.elapsed().as_micros() as u64);
-    Ok(Some(payload))
+    Ok(Some(v))
 }
 
 // ---------------------------------------------------------------------------
 // The checkpointed driver
 
 /// Bookkeeping shared by every stage of the driver: which stages were
-/// loaded, what went wrong non-fatally, and whether the checkpoint chain
-/// is still intact (once one stage re-runs, later checkpoints are stale
-/// and must not be loaded).
+/// loaded, what went wrong non-fatally, whether the checkpoint chain is
+/// still intact (once one stage re-runs, later checkpoints are stale and
+/// must not be loaded), and the time checkpointing cost.
 struct Progress<'a> {
+    dir: &'a RunDir,
     rec: &'a Recorder,
     chain_intact: bool,
     loaded_stages: Vec<&'static str>,
     warnings: Vec<String>,
+    /// Hashing the input, the manifest, and writing and loading
+    /// checkpoints: the `checkpoint_ms` column.
+    checkpoint_time: Duration,
 }
 
 impl Progress<'_> {
-    /// Attempts to fetch `stage`'s checkpoint payload. Any failure breaks
-    /// the chain: this stage and everything after it re-run.
-    fn fetch(&mut self, dir: &RunDir, stage: Stage) -> Option<Json> {
+    /// Loads `stage`'s checkpoint while the chain is intact. Any failure
+    /// breaks the chain: this stage and everything after it re-run.
+    fn load<T>(
+        &mut self,
+        stage: Stage,
+        decode: impl FnOnce(&mut WireReader<'_>) -> Result<T, String>,
+    ) -> Option<T> {
         if !self.chain_intact {
             return None;
         }
-        match read_checkpoint(dir, self.rec, stage) {
-            Ok(Some(payload)) => Some(payload),
+        let t = Instant::now();
+        let loaded = read_checkpoint(self.dir, self.rec, stage, decode);
+        self.checkpoint_time += t.elapsed();
+        match loaded {
+            Ok(Some(v)) => Some(v),
             Ok(None) => {
                 self.chain_intact = false;
                 None
             }
             Err(e) => {
-                self.warn(format!(
-                    "checkpoint {}: {e}; re-running the stage",
-                    stage.name()
-                ));
-                self.chain_intact = false;
+                self.discard(stage, e);
                 None
             }
         }
     }
 
-    /// Records a decoded (= skipped) stage.
+    /// Writes `stage`'s checkpoint.
+    fn store(&mut self, stage: Stage, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), String> {
+        let t = Instant::now();
+        let written = write_checkpoint(self.dir, self.rec, stage, encode);
+        self.checkpoint_time += t.elapsed();
+        written
+    }
+
+    /// Records a loaded (= skipped) stage.
     fn skipped(&mut self, stage: Stage) {
         self.rec.counter("resume.skip_stage", 1);
         self.rec.stage_skipped(stage.name());
         self.loaded_stages.push(stage.name());
     }
 
-    /// Reports a decode failure and breaks the chain.
-    fn decode_failed(&mut self, stage: Stage, e: String) {
-        self.warn(format!(
-            "checkpoint {}: {e}; re-running the stage",
-            stage.name()
-        ));
-        self.chain_intact = false;
-    }
-
-    fn warn(&mut self, msg: String) {
+    /// Reports an unusable checkpoint and breaks the chain.
+    fn discard(&mut self, stage: Stage, e: String) {
+        let msg = format!("checkpoint {}: {e}; re-running the stage", stage.name());
         eprintln!("warning: {msg}");
         self.rec.warning(msg.clone());
         self.warnings.push(msg);
+        self.chain_intact = false;
     }
 }
 
@@ -1372,27 +1037,87 @@ impl Progress<'_> {
 /// the driver owns, which a `&mut self` method would lock away.
 fn stage_step<T>(
     progress: &mut Progress<'_>,
-    dir: &RunDir,
     stage: Stage,
-    decode: impl FnOnce(&Json) -> Result<T, String>,
+    decode: impl FnOnce(&mut WireReader<'_>) -> Result<T, String>,
     compute: impl FnOnce() -> T,
-    encode: impl FnOnce(&T) -> Json,
+    encode: impl FnOnce(&T, &mut Vec<u8>),
     stage_ms: &mut u64,
 ) -> Result<T, String> {
-    if let Some(payload) = progress.fetch(dir, stage) {
-        match decode(&payload) {
-            Ok(v) => {
-                progress.skipped(stage);
-                return Ok(v);
-            }
-            Err(e) => progress.decode_failed(stage, e),
-        }
+    if let Some(v) = progress.load(stage, decode) {
+        progress.skipped(stage);
+        return Ok(v);
     }
     let t = Instant::now();
     let v = compute();
     *stage_ms = t.elapsed().as_millis() as u64;
-    write_checkpoint(dir, progress.rec, stage, &encode(&v))?;
+    progress.store(stage, |w| encode(&v, w))?;
     Ok(v)
+}
+
+/// Validates (on `--resume`) or writes (fresh run) the manifest.
+fn open_manifest(
+    pipeline: &Pipeline<'_>,
+    dir: &RunDir,
+    opts: &CheckpointOptions,
+) -> Result<Manifest, String> {
+    let cfg_fp = config_fingerprint(&pipeline.config, pipeline.catalog);
+    let (input_bytes, input_fnv) = hash_file(&opts.input)?;
+    if !opts.resume {
+        let m = Manifest {
+            schema: MANIFEST_SCHEMA,
+            config_fingerprint: cfg_fp,
+            input_bytes,
+            input_fnv,
+            ingest_policy: opts.policy,
+            attempts: 1,
+            interruptions: 0,
+            completed: false,
+        };
+        dir.store_manifest(&m)?;
+        return Ok(m);
+    }
+    let mut m = dir.load_manifest()?;
+    if m.schema != MANIFEST_SCHEMA {
+        return Err(format!(
+            "cannot resume {}: manifest schema {} (this build expects {MANIFEST_SCHEMA})",
+            dir.root().display(),
+            m.schema
+        ));
+    }
+    if m.config_fingerprint != cfg_fp {
+        return Err(format!(
+            "cannot resume {}: the run was started with a different configuration \
+             (manifest fingerprint {:#018x}, current {cfg_fp:#018x}); re-run with the \
+             original semantic options and schema, or start fresh with --run-dir",
+            dir.root().display(),
+            m.config_fingerprint
+        ));
+    }
+    if m.input_bytes != input_bytes || m.input_fnv != input_fnv {
+        return Err(format!(
+            "cannot resume {}: input {} has changed since the run started \
+             (manifest: {} bytes, fnv {:#018x}; now: {input_bytes} bytes, \
+             fnv {input_fnv:#018x}); resume needs the identical input file",
+            dir.root().display(),
+            opts.input.display(),
+            m.input_bytes,
+            m.input_fnv
+        ));
+    }
+    if m.ingest_policy != opts.policy {
+        return Err(format!(
+            "cannot resume {}: the run used {} ingestion, this invocation asks for {}",
+            dir.root().display(),
+            policy_name(m.ingest_policy),
+            policy_name(opts.policy)
+        ));
+    }
+    m.attempts += 1;
+    if !m.completed {
+        m.interruptions += 1;
+    }
+    dir.store_manifest(&m)?;
+    Ok(m)
 }
 
 /// Drives the pipeline's stage operators over a run directory: each stage
@@ -1410,117 +1135,61 @@ pub fn run_checkpointed(
 ) -> Result<Option<CheckpointOutcome>, String> {
     let t_total = Instant::now();
     let rec = pipeline.config.recorder.clone();
-    let cfg_fp = config_fingerprint(&pipeline.config, pipeline.catalog);
-    let (input_bytes, input_fnv) = hash_file(&opts.input)?;
-
-    let manifest = if opts.resume {
-        let mut m = dir.load_manifest()?;
-        if m.schema != MANIFEST_SCHEMA {
-            return Err(format!(
-                "cannot resume {}: manifest schema {} (this build expects {MANIFEST_SCHEMA})",
-                dir.root().display(),
-                m.schema
-            ));
-        }
-        if m.config_fingerprint != cfg_fp {
-            return Err(format!(
-                "cannot resume {}: the run was started with a different configuration \
-                 (manifest fingerprint {:#018x}, current {cfg_fp:#018x}); re-run with the \
-                 original semantic options and schema, or start fresh with --run-dir",
-                dir.root().display(),
-                m.config_fingerprint
-            ));
-        }
-        if m.input_bytes != input_bytes || m.input_fnv != input_fnv {
-            return Err(format!(
-                "cannot resume {}: input {} has changed since the run started \
-                 (manifest: {} bytes, fnv {:#018x}; now: {input_bytes} bytes, \
-                 fnv {input_fnv:#018x}); resume needs the identical input file",
-                dir.root().display(),
-                opts.input.display(),
-                m.input_bytes,
-                m.input_fnv
-            ));
-        }
-        if m.ingest_policy != opts.policy {
-            return Err(format!(
-                "cannot resume {}: the run used {} ingestion, this invocation asks for {}",
-                dir.root().display(),
-                policy_name(m.ingest_policy),
-                policy_name(opts.policy)
-            ));
-        }
-        m.attempts += 1;
-        if !m.completed {
-            m.interruptions += 1;
-        }
-        dir.store_manifest(&m)?;
-        m
-    } else {
-        let m = Manifest {
-            schema: MANIFEST_SCHEMA,
-            config_fingerprint: cfg_fp,
-            input_bytes,
-            input_fnv,
-            ingest_policy: opts.policy,
-            attempts: 1,
-            interruptions: 0,
-            completed: false,
-        };
-        dir.store_manifest(&m)?;
-        m
-    };
-
+    let manifest = open_manifest(pipeline, dir, opts)?;
     let mut progress = Progress {
+        dir,
         rec: &rec,
         // Only a resume consults checkpoints; a fresh run starts with the
         // chain already broken (RunDir::create cleared them anyway).
         chain_intact: opts.resume,
         loaded_stages: Vec::new(),
         warnings: Vec::new(),
+        checkpoint_time: t_total.elapsed(),
     };
     let mut timings = StageTimings::default();
     let stop = |stage: Stage| opts.stop_after == Some(stage);
 
-    // --- ingest --- (not a `stage_step`: reading the input is fallible,
-    // and a failed read must never leave a checkpoint behind)
+    // --- ingest --- The checkpoint holds only the ingest statistics: the
+    // entries are always re-read from the input, whose length and hash the
+    // manifest pins, and must reproduce those statistics. Not a
+    // `stage_step`: reading is fallible, and a failed read must never leave
+    // a checkpoint behind.
+    let stored = progress.load(Stage::Ingest, IngestStats::get);
+    let t = Instant::now();
     let (log, ingest_stats) = {
-        let mut loaded = None;
-        if let Some(payload) = progress.fetch(dir, Stage::Ingest) {
-            match ingest_from_json(&payload) {
-                Ok(v) => {
-                    progress.skipped(Stage::Ingest);
-                    loaded = Some(v);
-                }
-                Err(e) => progress.decode_failed(Stage::Ingest, e),
-            }
-        }
-        match loaded {
-            Some(v) => v,
-            None => {
-                let t = Instant::now();
-                let v = {
-                    rec.stage_begin("ingest", 0);
-                    let span = rec.span("ingest");
-                    ingest_input(opts, pipeline.config.parallelism, &rec, span.id())?
-                };
-                timings.ingest_ms = t.elapsed().as_millis() as u64;
-                write_checkpoint(dir, &rec, Stage::Ingest, &ingest_to_json(&v.0, &v.1))?;
-                v
-            }
-        }
+        rec.stage_begin("ingest", 0);
+        let span = rec.span("ingest");
+        ingest_input(opts, pipeline.config.parallelism, &rec, span.id())?
     };
+    timings.ingest_ms = t.elapsed().as_millis() as u64;
+    match stored {
+        Some(s) if s == ingest_stats => progress.loaded_stages.push(Stage::Ingest.name()),
+        stored => {
+            if let Some(s) = stored {
+                progress.discard(
+                    Stage::Ingest,
+                    format!("recorded {s:?}, but the input reads as {ingest_stats:?}"),
+                );
+            }
+            progress.store(Stage::Ingest, |w| ingest_stats.put(w))?;
+        }
+    }
     if stop(Stage::Ingest) {
         return Ok(None);
     }
 
     // --- dedup (sort is folded in: the checkpoint stores base indices) ---
-    let mut dedup_ms = 0u64;
     let (kept, dedup_stats) = stage_step(
         &mut progress,
-        dir,
         Stage::Dedup,
-        |v| dedup_from_json(v, log.len()),
+        |r| {
+            let (kept, stats) = <(Vec<u32>, DedupStats)>::get(r)?;
+            check_bounds(kept.iter().map(|&i| i as usize), log.len(), "kept index")?;
+            if stats.kept != kept.len() {
+                return Err("kept count disagrees with index vector".to_string());
+            }
+            Ok((kept, stats))
+        },
         || {
             let t = Instant::now();
             let input = pipeline.op_sort(&log);
@@ -1529,99 +1198,135 @@ pub fn run_checkpointed(
             let kept: Vec<u32> = (0..view.len()).map(|i| view.base_index(i) as u32).collect();
             (kept, stats)
         },
-        |(kept, stats)| dedup_to_json(kept, stats),
-        &mut dedup_ms,
+        |v, w| v.put(w),
+        &mut timings.dedup_ms,
     )?;
-    timings.dedup_ms = dedup_ms;
+    // The sort ran inside the dedup step but has its own column.
+    timings.dedup_ms = timings.dedup_ms.saturating_sub(timings.sort_ms);
     let pre_clean = LogView::from_indices(&log, kept);
     if stop(Stage::Dedup) {
         return Ok(None);
     }
 
     // --- parse ---
-    let mut parse_ms = 0u64;
     let (store, parsed) = stage_step(
         &mut progress,
-        dir,
         Stage::Parse,
-        |v| parse_from_json(v, pre_clean.len(), &rec),
+        |r| get_parse(r, pre_clean.len(), &rec),
         || {
             let store = TemplateStore::with_recorder(rec.clone());
             let parsed = pipeline.op_parse(&pre_clean, &store);
             (store, parsed)
         },
-        |(store, parsed)| parse_to_json(store, parsed),
-        &mut parse_ms,
+        |(store, parsed), w| put_parse(store, parsed, w),
+        &mut timings.parse_ms,
     )?;
-    timings.parse_ms = parse_ms;
     if stop(Stage::Parse) {
         return Ok(None);
     }
+    let n_records = parsed.records.len();
 
     // --- sessions ---
-    let mut sessions_ms = 0u64;
     let sessions = stage_step(
         &mut progress,
-        dir,
         Stage::Sessions,
-        |v| sessions_from_json(v, parsed.records.len()),
+        |r| {
+            let s = Sessions::get(r)?;
+            let sessions = &s.sessions;
+            check_bounds(
+                sessions.iter().map(|s| s.user as usize),
+                s.user_names.len(),
+                "session user id",
+            )?;
+            check_bounds(
+                sessions.iter().flat_map(|s| s.records.iter().copied()),
+                n_records,
+                "session record index",
+            )?;
+            Ok(s)
+        },
         || pipeline.op_sessions(&pre_clean, &parsed.records),
-        sessions_to_json,
-        &mut sessions_ms,
+        |v, w| v.put(w),
+        &mut timings.sessions_ms,
     )?;
-    timings.sessions_ms = sessions_ms;
     if stop(Stage::Sessions) {
         return Ok(None);
     }
 
     // --- mine ---
-    let mut mine_ms = 0u64;
     let mined = stage_step(
         &mut progress,
-        dir,
         Stage::Mine,
-        mine_from_json,
+        MinedPatterns::get,
         || pipeline.op_mine(&sessions, &parsed.records),
-        mine_to_json,
-        &mut mine_ms,
+        |v, w| v.put(w),
+        &mut timings.mine_ms,
     )?;
-    timings.mine_ms = mine_ms;
     if stop(Stage::Mine) {
         return Ok(None);
     }
 
     // --- detect ---
-    let mut detect_ms = 0u64;
     let detected = stage_step(
         &mut progress,
-        dir,
         Stage::Detect,
-        |v| detect_from_json(v, parsed.records.len()),
+        |r| {
+            let d = DetectOutput::get(r)?;
+            check_bounds(
+                d.instances.iter().flat_map(|i| i.records.iter().copied()),
+                n_records,
+                "instance record index",
+            )?;
+            Ok(d)
+        },
         || pipeline.op_detect(&pre_clean, &parsed.records, &sessions, &store),
-        detect_to_json,
-        &mut detect_ms,
+        |v, w| v.put(w),
+        &mut timings.detect_ms,
     )?;
-    timings.detect_ms = detect_ms;
     if stop(Stage::Detect) {
         return Ok(None);
     }
 
-    // --- solve ---
-    let mut solve_ms = 0u64;
-    let outcome = stage_step(
-        &mut progress,
-        dir,
-        Stage::Solve,
-        solve_from_json,
-        || pipeline.op_solve(&pre_clean, &parsed.records, &sessions, &store, &detected),
-        solve_to_json,
-        &mut solve_ms,
-    )?;
-    timings.solve_ms = solve_ms;
+    // --- solve --- The checkpoint holds the solvers' choices, written
+    // between choosing and assembling; a load re-assembles the clean and
+    // removal logs with the same code a live run ends with.
+    let loaded = progress.load(Stage::Solve, |r| {
+        let chosen = ChosenRewrites::get(r)?;
+        pipeline.op_solve_replay(
+            &pre_clean,
+            &parsed.records,
+            &sessions,
+            &store,
+            &detected,
+            chosen,
+        )
+    });
+    let outcome = match loaded {
+        Some(outcome) => {
+            progress.skipped(Stage::Solve);
+            outcome
+        }
+        None => {
+            let t = Instant::now();
+            let before = progress.checkpoint_time;
+            let outcome = pipeline.op_solve_with(
+                &pre_clean,
+                &parsed.records,
+                &sessions,
+                &store,
+                &detected,
+                |chosen| progress.store(Stage::Solve, |w| chosen.put(w)),
+            )?;
+            let stored = progress.checkpoint_time - before;
+            timings.solve_ms = t.elapsed().saturating_sub(stored).as_millis() as u64;
+            outcome
+        }
+    };
     if stop(Stage::Solve) {
         return Ok(None);
     }
 
+    timings.checkpoint_ms = progress.checkpoint_time.as_millis() as u64;
     timings.total_ms = t_total.elapsed().as_millis() as u64;
     let mut result = pipeline.assemble(
         log.len(),

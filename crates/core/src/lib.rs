@@ -82,7 +82,7 @@ pub use run_report::{statistics_from_json, statistics_to_json, RunReport, RUN_RE
 pub use shard::{
     balance_chunks, resolve_threads, run_shards_isolated, run_shards_traced, ShardTrace,
 };
-pub use solve::{apply_solutions, SolveOutcome, SolvedRewrite};
+pub use solve::{apply_solutions, ChosenRewrites, SolveOutcome, SolvedRewrite};
 pub use stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 pub use store::{TemplateId, TemplateStore};
 pub use sws::{classify_sws, sws_grid, union_windows, SwsResult, SwsThresholds};

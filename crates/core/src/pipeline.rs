@@ -27,7 +27,7 @@ use crate::parse_step::{parse_view_traced, ParsedLog, ParsedRecord};
 use crate::shard::{
     balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
 };
-use crate::solve::{apply_solutions, SolveOutcome};
+use crate::solve::{assemble_logs, choose_rewrites, ChosenRewrites, SolveOutcome};
 use crate::stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_catalog::Catalog;
@@ -167,6 +167,7 @@ impl<'a> Pipeline<'a> {
             mine_ms,
             detect_ms,
             solve_ms,
+            checkpoint_ms: 0,
             report_ms: 0,
             total_ms: ms(t_total),
         };
@@ -377,20 +378,64 @@ impl<'a> Pipeline<'a> {
         store: &TemplateStore,
         detected: &DetectOutput,
     ) -> SolveOutcome {
-        let ctx = DetectCtx {
+        self.op_solve_with(pre_clean, records, sessions, store, detected, |_| Ok(()))
+            .expect("solving fails only through its hook")
+    }
+
+    /// [`Pipeline::op_solve`] with a hook that sees the solvers' choices
+    /// before the logs are assembled from them — where a checkpointed run
+    /// stores them. An error from the hook ends the stage.
+    pub(crate) fn op_solve_with(
+        &self,
+        pre_clean: &LogView<'_>,
+        records: &[ParsedRecord],
+        sessions: &Sessions,
+        store: &TemplateStore,
+        detected: &DetectOutput,
+        hook: impl FnOnce(&ChosenRewrites) -> Result<(), String>,
+    ) -> Result<SolveOutcome, String> {
+        let ctx = self.solve_ctx(pre_clean, records, sessions, store);
+        self.config
+            .recorder
+            .stage_begin("solve", detected.instances.len() as u64);
+        let _span = self.config.recorder.span("solve");
+        let chosen = choose_rewrites(&ctx, &detected.instances, &self.extensions.solver_set());
+        hook(&chosen)?;
+        Ok(assemble_logs(&ctx, &detected.instances, chosen)
+            .expect("chosen rewrites fit their instances"))
+    }
+
+    /// Rebuilds the solve stage's outcome from recorded choices without
+    /// running a solver: the same assembly [`Pipeline::op_solve`] ends
+    /// with. Fails when the choices do not fit `detected`.
+    pub(crate) fn op_solve_replay(
+        &self,
+        pre_clean: &LogView<'_>,
+        records: &[ParsedRecord],
+        sessions: &Sessions,
+        store: &TemplateStore,
+        detected: &DetectOutput,
+        chosen: ChosenRewrites,
+    ) -> Result<SolveOutcome, String> {
+        let ctx = self.solve_ctx(pre_clean, records, sessions, store);
+        assemble_logs(&ctx, &detected.instances, chosen)
+    }
+
+    fn solve_ctx<'c>(
+        &'c self,
+        pre_clean: &'c LogView<'c>,
+        records: &'c [ParsedRecord],
+        sessions: &'c Sessions,
+        store: &'c TemplateStore,
+    ) -> DetectCtx<'c> {
+        DetectCtx {
             log: pre_clean,
             records,
             sessions: &sessions.sessions,
             store,
             catalog: self.catalog,
             config: &self.config,
-        };
-        let solvers = self.extensions.solver_set();
-        self.config
-            .recorder
-            .stage_begin("solve", detected.instances.len() as u64);
-        let _span = self.config.recorder.span("solve");
-        apply_solutions(&ctx, &detected.instances, &solvers)
+        }
     }
 
     /// Final assembly: statistics, pattern marks and entry-id joins from

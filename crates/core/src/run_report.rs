@@ -50,6 +50,7 @@ fn timings_to_json(t: &StageTimings) -> Json {
         ("mine_ms", Json::U64(t.mine_ms)),
         ("detect_ms", Json::U64(t.detect_ms)),
         ("solve_ms", Json::U64(t.solve_ms)),
+        ("checkpoint_ms", Json::U64(t.checkpoint_ms)),
         ("report_ms", Json::U64(t.report_ms)),
         ("total_ms", Json::U64(t.total_ms)),
     ])
@@ -65,6 +66,8 @@ fn timings_from_json(v: &Json) -> Result<StageTimings, String> {
         mine_ms: get_u64(v, "mine_ms")?,
         detect_ms: get_u64(v, "detect_ms")?,
         solve_ms: get_u64(v, "solve_ms")?,
+        // Absent from reports written before the column existed.
+        checkpoint_ms: v.get("checkpoint_ms").and_then(Json::as_u64).unwrap_or(0),
         report_ms: get_u64(v, "report_ms")?,
         total_ms: get_u64(v, "total_ms")?,
     })
@@ -288,6 +291,7 @@ mod tests {
                 mine_ms: 4,
                 detect_ms: 6,
                 solve_ms: 2,
+                checkpoint_ms: 0,
                 report_ms: 1,
                 total_ms: 30,
             },
@@ -358,6 +362,19 @@ mod tests {
     fn default_report_round_trips() {
         let report = RunReport::default();
         assert_eq!(RunReport::parse(&report.render()).unwrap(), report);
+    }
+
+    #[test]
+    fn missing_checkpoint_column_reads_as_zero() {
+        // Reports written before the column existed lack the key.
+        let mut report = RunReport::default();
+        report.stats.timings.checkpoint_ms = 5;
+        let text = report.render();
+        let old = text.replace("\"checkpoint_ms\":5,", "");
+        assert_ne!(old, text);
+        let parsed = RunReport::parse(&old).unwrap();
+        assert_eq!(parsed.stats.timings.checkpoint_ms, 0);
+        assert_eq!(RunReport::parse(&text).unwrap(), report);
     }
 
     #[test]

@@ -57,15 +57,40 @@ pub struct SolveOutcome {
     pub rewrites: Vec<SolvedRewrite>,
 }
 
-/// Applies the solvers over the parsed log.
+/// What the solvers decided, before any log is assembled: the part of
+/// solving that cannot be cheaply recomputed, and all a solve checkpoint
+/// stores.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ChosenRewrites {
+    /// Each solved instance as (index into the detected instance list, the
+    /// statements its solver produced), in instance order.
+    pub solved: Vec<(usize, Vec<String>)>,
+    /// Solvable instances skipped because an earlier instance had already
+    /// consumed one of their queries.
+    pub skipped_overlaps: usize,
+}
+
+/// Applies the solvers over the parsed log: chooses the rewrites, then
+/// assembles the clean and removal logs from them.
 pub fn apply_solutions(
     ctx: &DetectCtx<'_>,
     instances: &[AntipatternInstance],
     solvers: &SolverSet<'_>,
 ) -> SolveOutcome {
+    let chosen = choose_rewrites(ctx, instances, solvers);
+    assemble_logs(ctx, instances, chosen).expect("chosen rewrites fit their instances")
+}
+
+/// Runs the solvers: instances in order of appearance, the first of two
+/// overlapping instances wins.
+pub(crate) fn choose_rewrites(
+    ctx: &DetectCtx<'_>,
+    instances: &[AntipatternInstance],
+    solvers: &SolverSet<'_>,
+) -> ChosenRewrites {
     // Solving is sequential, so its observability is one span (nested under
     // the pipeline's "solve" stage span via the thread-local) plus outcome
-    // counters at the end.
+    // counters at the end of assembly.
     let rec = &ctx.config.recorder;
     let mut span = rec.span("solve.apply");
     span.field("instances", instances.len() as u64);
@@ -81,20 +106,9 @@ pub fn apply_solutions(
             }
         }
     }
-    let n_records = ctx.records.len();
-    let mut consumed = vec![false; n_records];
-    let mut in_any_instance = vec![false; n_records];
-    // Rewrites to splice in: (record index of the instance head, statements).
-    let mut rewrites: Vec<(usize, Vec<String>)> = Vec::new();
-    let mut solved: Vec<SolvedRewrite> = Vec::new();
-    let mut solved_instances = 0usize;
-    let mut solved_queries = 0usize;
-    let mut skipped_overlaps = 0usize;
-
-    for inst in instances {
-        for &ri in &inst.records {
-            in_any_instance[ri] = true;
-        }
+    let mut consumed = vec![false; ctx.records.len()];
+    let mut chosen = ChosenRewrites::default();
+    for (idx, inst) in instances.iter().enumerate() {
         if !inst.solvable {
             continue;
         }
@@ -102,7 +116,7 @@ pub fn apply_solutions(
             continue;
         };
         if inst.records.iter().any(|&ri| consumed[ri]) {
-            skipped_overlaps += 1;
+            chosen.skipped_overlaps += 1;
             continue;
         }
         let Some(statements) = solver.solve(inst, ctx) else {
@@ -111,7 +125,51 @@ pub fn apply_solutions(
         for &ri in &inst.records {
             consumed[ri] = true;
         }
-        solved_instances += 1;
+        chosen.solved.push((idx, statements));
+    }
+    chosen
+}
+
+/// Builds the clean and removal logs from the chosen rewrites. Checks
+/// that the choice fits `instances` — indices in bounds and increasing,
+/// solvable, non-empty and non-overlapping instances — so choices read
+/// back from a checkpoint are held to what [`choose_rewrites`] produces.
+pub(crate) fn assemble_logs(
+    ctx: &DetectCtx<'_>,
+    instances: &[AntipatternInstance],
+    chosen: ChosenRewrites,
+) -> Result<SolveOutcome, String> {
+    let rec = &ctx.config.recorder;
+    let n_records = ctx.records.len();
+    let mut consumed = vec![false; n_records];
+    let mut in_any_instance = vec![false; n_records];
+    for inst in instances {
+        for &ri in &inst.records {
+            in_any_instance[ri] = true;
+        }
+    }
+    // Rewrites to splice in: (record index of the instance head, statements).
+    let mut rewrites: Vec<(usize, Vec<String>)> = Vec::with_capacity(chosen.solved.len());
+    let mut solved: Vec<SolvedRewrite> = Vec::with_capacity(chosen.solved.len());
+    let mut solved_queries = 0usize;
+    let mut next_idx = 0usize;
+    for (idx, statements) in chosen.solved {
+        let inst = instances
+            .get(idx)
+            .filter(|_| idx >= next_idx)
+            .ok_or_else(|| format!("solved instance {idx} out of order or out of bounds"))?;
+        next_idx = idx + 1;
+        let Some(&head) = inst.records.first().filter(|_| inst.solvable) else {
+            return Err(format!("instance {idx} is empty or not solvable"));
+        };
+        if inst.records.iter().any(|&ri| consumed[ri]) {
+            return Err(format!(
+                "instance {idx} overlaps an earlier solved instance"
+            ));
+        }
+        for &ri in &inst.records {
+            consumed[ri] = true;
+        }
         solved_queries += inst.records.len();
         let originals: Vec<&LogEntry> = inst
             .records
@@ -124,7 +182,7 @@ pub fn apply_solutions(
             original_statements: originals.iter().map(|e| e.statement.clone()).collect(),
             rewritten_statements: statements.clone(),
         });
-        rewrites.push((inst.records[0], statements));
+        rewrites.push((head, statements));
     }
 
     // Assemble the clean log: unconsumed records keep their entries;
@@ -201,19 +259,20 @@ pub fn apply_solutions(
         e.id = i as u64;
     }
 
+    let solved_instances = solved.len();
     rec.counter("solve.solved_instances", solved_instances as u64);
     rec.counter("solve.solved_queries", solved_queries as u64);
     rec.counter("solve.rewritten_statements", rewritten_statements as u64);
-    rec.counter("solve.skipped_overlaps", skipped_overlaps as u64);
-    SolveOutcome {
+    rec.counter("solve.skipped_overlaps", chosen.skipped_overlaps as u64);
+    Ok(SolveOutcome {
         clean_log,
         removal_log,
         solved_instances,
         solved_queries,
         rewritten_statements,
-        skipped_overlaps,
+        skipped_overlaps: chosen.skipped_overlaps,
         rewrites: solved,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -41,6 +41,9 @@ pub struct StageTimings {
     pub detect_ms: u64,
     /// Solving / rewriting (§5.5).
     pub solve_ms: u64,
+    /// Checkpointed runs only: hashing the input, the manifest, and
+    /// writing and loading stage checkpoints. Zero on a plain run.
+    pub checkpoint_ms: u64,
     /// Rendering the statistics report and writing outputs. Filled by the
     /// binary, like `ingest_ms`.
     pub report_ms: u64,
@@ -50,7 +53,8 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
-    /// Sum of the individual stage timings (including ingest/report).
+    /// Sum of the individual stage timings (including ingest, checkpoint
+    /// and report).
     /// `total_ms` should be ≥ this minus rounding slack; the reconciliation
     /// test in the CLI harness checks it.
     pub fn stage_sum_ms(&self) -> u64 {
@@ -62,6 +66,7 @@ impl StageTimings {
             + self.mine_ms
             + self.detect_ms
             + self.solve_ms
+            + self.checkpoint_ms
             + self.report_ms
     }
 }

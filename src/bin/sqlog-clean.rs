@@ -26,8 +26,9 @@
 //! in the run-health section, and always runs to completion.
 //!
 //! `--run-dir DIR` makes the run **crash-safe**: every pipeline stage
-//! checkpoints its output into `DIR/checkpoints/` atomically as it
-//! completes, and `DIR/MANIFEST.json` records the configuration
+//! checkpoints its result into `DIR/checkpoints/` atomically as it
+//! completes — compactly, never as a copy of the input or of the output
+//! logs — and `DIR/MANIFEST.json` records the configuration
 //! fingerprint and input hash. After a crash (power loss, OOM kill,
 //! SIGKILL), `--resume DIR` picks the run up at the last completed stage
 //! and produces output byte-identical to an uninterrupted run — at any
