@@ -7,10 +7,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use sqlog_catalog::skyserver_catalog;
-use sqlog_core::{
-    build_sessions, dedup, mine_patterns, parse_log, Pipeline, PipelineConfig, TemplateStore,
-};
+use sqlog_core::{Pipeline, PipelineConfig, TemplateStore};
 use sqlog_gen::{generate, GenConfig};
+use sqlog_log::LogView;
 use sqlog_skeleton::QueryTemplate;
 use sqlog_sql::parse_statement;
 use std::hint::black_box;
@@ -19,8 +18,19 @@ use std::time::Duration;
 const SCALE: usize = 8_000;
 const SEED: u64 = 77;
 
+/// The default pipeline at a fixed thread count (`0` = one per core).
+fn config(threads: usize) -> PipelineConfig {
+    PipelineConfig {
+        parallelism: threads,
+        ..PipelineConfig::default()
+    }
+}
+
 fn bench_parse(c: &mut Criterion) {
     let log = generate(&GenConfig::with_scale(SCALE, SEED));
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog).with_config(config(0));
+    let view = LogView::identity(&log);
     let mut group = c.benchmark_group("stage_parse");
     group.throughput(Throughput::Elements(log.len() as u64));
     group.sample_size(10);
@@ -41,7 +51,7 @@ fn bench_parse(c: &mut Criterion) {
     group.bench_function("parse_log_parallel", |b| {
         b.iter(|| {
             let store = TemplateStore::new();
-            black_box(parse_log(&log, &store, 0).stats.selects)
+            black_box(pipeline.op_parse(&view, &store).stats.selects)
         })
     });
     group.finish();
@@ -74,24 +84,33 @@ fn bench_skeleton(c: &mut Criterion) {
 
 fn bench_dedup(c: &mut Criterion) {
     let log = generate(&GenConfig::with_scale(SCALE, SEED));
+    let catalog = skyserver_catalog();
+    let view = LogView::identity(&log);
     let mut group = c.benchmark_group("stage_dedup");
     group.throughput(Throughput::Elements(log.len() as u64));
     group.sample_size(10);
     group.warm_up_time(Duration::from_secs(1));
     group.measurement_time(Duration::from_secs(3));
     for (label, t) in [("1s", Some(1_000u64)), ("unrestricted", None)] {
-        group.bench_function(label, |b| b.iter(|| black_box(dedup(&log, t).1.removed)));
+        let pipeline = Pipeline::new(&catalog).with_config(PipelineConfig {
+            duplicate_threshold_ms: t,
+            ..config(1)
+        });
+        group.bench_function(label, |b| {
+            b.iter(|| black_box(pipeline.op_dedup(&view).1.removed))
+        });
     }
     group.finish();
 }
 
 fn bench_mine_and_detect(c: &mut Criterion) {
     let log = generate(&GenConfig::with_scale(SCALE, SEED));
-    let (pre, _) = dedup(&log, Some(1_000));
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog).with_config(config(1));
+    let (pre, _) = pipeline.op_dedup(&LogView::identity(&log));
     let store = TemplateStore::new();
-    let parsed = parse_log(&pre, &store, 0);
-    let cfg = PipelineConfig::default();
-    let sessions = build_sessions(&pre, &parsed.records, cfg.session_gap_ms);
+    let parsed = pipeline.op_parse(&pre, &store);
+    let sessions = pipeline.op_sessions(&pre, &parsed.records);
 
     let mut group = c.benchmark_group("stage_mine_detect");
     group.throughput(Throughput::Elements(parsed.records.len() as u64));
@@ -99,34 +118,20 @@ fn bench_mine_and_detect(c: &mut Criterion) {
     group.warm_up_time(Duration::from_secs(1));
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("build_sessions", |b| {
-        b.iter(|| {
-            black_box(
-                build_sessions(&pre, &parsed.records, cfg.session_gap_ms)
-                    .sessions
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(pipeline.op_sessions(&pre, &parsed.records).sessions.len()))
     });
     group.bench_function("mine_patterns", |b| {
-        b.iter(|| {
-            black_box(
-                mine_patterns(&sessions, &parsed.records, &cfg)
-                    .patterns
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(pipeline.op_mine(&sessions, &parsed.records).patterns.len()))
     });
-    let catalog = skyserver_catalog();
-    let view = sqlog_log::LogView::identity(&pre);
     group.bench_function("detect_builtin", |b| {
         b.iter(|| {
             let ctx = sqlog_core::DetectCtx {
-                log: &view,
+                log: &pre,
                 records: &parsed.records,
                 sessions: &sessions.sessions,
                 store: &store,
                 catalog: &catalog,
-                config: &cfg,
+                config: &pipeline.config,
             };
             black_box(sqlog_core::detect::detect_builtin(&ctx).len())
         })
@@ -139,26 +144,23 @@ fn bench_mine_and_detect(c: &mut Criterion) {
 /// acceptance number: repeated query shapes skip lexing/parsing entirely,
 /// so parse-stage throughput must be a multiple of the cache-off row.
 fn bench_parse_cache(c: &mut Criterion) {
-    use sqlog_core::{parse_view_traced, ParseOptions};
-    use sqlog_obs::Recorder;
-
     let log = generate(&GenConfig::with_scale(100_000, SEED));
-    let view = sqlog_log::LogView::identity(&log);
-    let rec = Recorder::disabled();
+    let catalog = skyserver_catalog();
+    let view = LogView::identity(&log);
     let mut group = c.benchmark_group("parse_cache");
     group.throughput(Throughput::Elements(log.len() as u64));
     group.sample_size(10);
     group.warm_up_time(Duration::from_secs(1));
     group.measurement_time(Duration::from_secs(5));
     for (label, cache) in [("cache_off", false), ("cache_on", true)] {
-        let options = ParseOptions {
-            cache,
-            ..ParseOptions::default()
-        };
+        let pipeline = Pipeline::new(&catalog).with_config(PipelineConfig {
+            parse_cache: cache,
+            ..config(1)
+        });
         group.bench_function(label, |b| {
             b.iter(|| {
                 let store = TemplateStore::new();
-                let parsed = parse_view_traced(&view, &store, &options, 1, &rec, None);
+                let parsed = pipeline.op_parse(&view, &store);
                 black_box((parsed.stats.selects, parsed.cache.hits))
             })
         });

@@ -8,8 +8,8 @@
 //! behind the pattern.
 
 use crate::experiments::Experiment;
-use sqlog_core::{build_sessions, parse_log, top_patterns, TemplateStore};
-use sqlog_log::IntentKind;
+use sqlog_core::{top_patterns, Pipeline, TemplateStore};
+use sqlog_log::{IntentKind, LogView};
 use std::collections::HashMap;
 
 /// Agreement between the marking and the ground truth over the top patterns.
@@ -40,13 +40,13 @@ impl ExpertAgreement {
 /// Runs the experiment over the top-`k` patterns of the raw log.
 pub fn run(exp: &Experiment, k: usize) -> ExpertAgreement {
     // Majority intent per template, computed from the pre-cleaned log.
-    let (pre_clean, _) = sqlog_core::dedup(&exp.log, Some(1_000));
+    let pipeline = Pipeline::new(&exp.catalog);
+    let (pre_clean, _) = pipeline.op_dedup(&LogView::identity(&exp.log));
     let store = TemplateStore::new();
-    let parsed = parse_log(&pre_clean, &store, 0);
-    let _sessions = build_sessions(&pre_clean, &parsed.records, 300_000);
+    let parsed = pipeline.op_parse(&pre_clean, &store);
     let mut label_per_template: HashMap<u64, HashMap<IntentKind, u64>> = HashMap::new();
     for rec in &parsed.records {
-        let entry = &pre_clean.entries[rec.entry_idx as usize];
+        let entry = pre_clean.entry(rec.entry_idx as usize);
         if let Some(t) = entry.truth {
             *label_per_template
                 .entry(store.with(rec.template, |tpl| tpl.fingerprint.0))

@@ -5,8 +5,8 @@
 //! > useful compared to the outcome that it is not."
 
 use crate::experiments::Experiment;
-use sqlog_core::{build_sessions, parse_log, Recommender, TemplateStore};
-use sqlog_log::QueryLog;
+use sqlog_core::{Pipeline, Recommender, TemplateStore};
+use sqlog_log::LogView;
 use std::collections::HashSet;
 
 /// Result of the study.
@@ -24,11 +24,15 @@ pub struct FutureWork {
 
 /// Trains on `log`, evaluates top-`k` suggestions against the set of
 /// antipattern skeleton texts (store-independent identity).
-fn rate_on(log: &QueryLog, anti: &HashSet<String>, k: usize) -> (f64, u64) {
+fn rate_on(
+    pipeline: &Pipeline<'_>,
+    log: &LogView<'_>,
+    anti: &HashSet<String>,
+    k: usize,
+) -> (f64, u64) {
     let store = TemplateStore::new();
-    let parsed = parse_log(log, &store, 0);
-    let cfg = sqlog_core::PipelineConfig::default();
-    let sessions = build_sessions(log, &parsed.records, cfg.session_gap_ms);
+    let parsed = pipeline.op_parse(log, &store);
+    let sessions = pipeline.op_sessions(log, &parsed.records);
     let recommender = Recommender::train(&sessions, &parsed.records);
 
     let mut total = 0u64;
@@ -64,9 +68,11 @@ pub fn run(exp: &Experiment, k: usize) -> FutureWork {
         .collect();
 
     // Pre-cleaned (dedup-only) log stands in for "the original log".
-    let (pre_clean, _) = sqlog_core::dedup(&exp.log, Some(1_000));
-    let (raw_rate, raw_transitions) = rate_on(&pre_clean, &anti, k);
-    let (clean_rate, clean_transitions) = rate_on(&exp.result.clean_log, &anti, k);
+    let pipeline = Pipeline::new(&exp.catalog);
+    let (pre_clean, _) = pipeline.op_dedup(&LogView::identity(&exp.log));
+    let (raw_rate, raw_transitions) = rate_on(&pipeline, &pre_clean, &anti, k);
+    let clean = LogView::identity(&exp.result.clean_log);
+    let (clean_rate, clean_transitions) = rate_on(&pipeline, &clean, &anti, k);
 
     FutureWork {
         raw_rate,

@@ -5,8 +5,10 @@
 //! reproduce: almost all duplicates are caught at 1 s, and going to ∞ buys
 //! well under one additional percent.
 
-use sqlog_core::dedup;
+use sqlog_catalog::Catalog;
+use sqlog_core::{Pipeline, PipelineConfig};
 use sqlog_gen::{generate, GenConfig};
+use sqlog_log::LogView;
 
 /// One row of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,6 +34,8 @@ pub struct Table4 {
 pub fn run(scale: usize, seed: u64) -> Table4 {
     let log = generate(&GenConfig::with_scale(scale, seed));
     let original = log.len();
+    let view = LogView::identity(&log);
+    let catalog = Catalog::new();
     let thresholds: [(&str, Option<u64>); 5] = [
         ("1 sec", Some(1_000)),
         ("2 sec", Some(2_000)),
@@ -42,7 +46,11 @@ pub fn run(scale: usize, seed: u64) -> Table4 {
     let rows = thresholds
         .iter()
         .map(|(label, t)| {
-            let (clean, _) = dedup(&log, *t);
+            let pipeline = Pipeline::new(&catalog).with_config(PipelineConfig {
+                duplicate_threshold_ms: *t,
+                ..PipelineConfig::default()
+            });
+            let (clean, _) = pipeline.op_dedup(&view);
             Row {
                 threshold: (*label).to_string(),
                 size: clean.len(),

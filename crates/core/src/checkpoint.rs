@@ -355,7 +355,7 @@ pub struct CheckpointOutcome {
 
 /// Fingerprint of the **semantic** configuration plus the catalog: every
 /// knob that can change pipeline output, and none that cannot.
-/// `parallelism`, `parse_threads`, the parse cache and the recorder are
+/// `parallelism`, the parse cache and the recorder are
 /// excluded by design — the determinism contract says they never change a
 /// byte of output, so they must not block a resume.
 pub fn config_fingerprint(config: &crate::config::PipelineConfig, catalog: &Catalog) -> u64 {

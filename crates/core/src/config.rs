@@ -34,10 +34,6 @@ pub struct PipelineConfig {
     /// the paper's Example 10 (`SELECT empId, name ... WHERE empId IN (...)`),
     /// so result rows remain attributable to the merged constants.
     pub rewrite_adds_filter_column: bool,
-    /// Number of parser threads (0 = one per available core). Only consulted
-    /// by the standalone [`crate::parse_step::parse_log`] helper; the
-    /// pipeline itself uses [`PipelineConfig::parallelism`] for every stage.
-    pub parse_threads: usize,
     /// Worker threads for the sharded pipeline stages (dedup, parse,
     /// sessions, mining, detection). `0` = one per available core, `1` =
     /// fully sequential. Output is byte-identical for every value (§5
@@ -59,20 +55,6 @@ pub struct PipelineConfig {
     /// byte-identical with the cache on or off; `--no-parse-cache`
     /// disables it for A/B runs.
     pub parse_cache: bool,
-    /// Debug builds cross-check this many parse-cache hits per worker
-    /// against a full parse (0 disables the self-check).
-    pub parse_cache_crosscheck: usize,
-    /// Enable the dedup shape prefilter: records whose allocation-free shape
-    /// key is new for their user are kept without normalization or
-    /// fingerprinting. Output is byte-identical on or off (equal normalized
-    /// text implies an equal shape key); `--no-dedup-prefilter` disables it
-    /// for A/B runs.
-    pub dedup_prefilter: bool,
-    /// Enable batched solver rewrites: synthesize each template's rewrite
-    /// AST once and substitute literals per instance instead of re-parsing
-    /// every record. Output is byte-identical on or off;
-    /// `--no-solve-batching` disables it for A/B runs.
-    pub solve_batching: bool,
     /// Observability sink. [`sqlog_obs::Recorder::disabled`] (the default)
     /// reduces every instrumentation point to a branch-on-a-bool no-op;
     /// an enabled recorder collects per-stage/per-shard spans, counters
@@ -92,15 +74,6 @@ impl PipelineConfig {
             max_tokens: self.max_parse_tokens,
         }
     }
-
-    /// The parse-stage knobs as a [`crate::parse_step::ParseOptions`].
-    pub fn parse_options(&self) -> crate::parse_step::ParseOptions {
-        crate::parse_step::ParseOptions {
-            limits: self.parse_limits(),
-            cache: self.parse_cache,
-            crosscheck: self.parse_cache_crosscheck,
-        }
-    }
 }
 
 impl Default for PipelineConfig {
@@ -114,15 +87,11 @@ impl Default for PipelineConfig {
             cth_lookahead: 8,
             require_key_attribute: true,
             rewrite_adds_filter_column: true,
-            parse_threads: 0,
             parallelism: 0,
             max_parse_depth: sqlog_sql::ParseLimits::default().max_depth,
             max_statement_bytes: sqlog_sql::ParseLimits::default().max_statement_bytes,
             max_parse_tokens: sqlog_sql::ParseLimits::default().max_tokens,
             parse_cache: true,
-            parse_cache_crosscheck: 64,
-            dedup_prefilter: true,
-            solve_batching: true,
             recorder: sqlog_obs::Recorder::disabled(),
         }
     }

@@ -8,19 +8,20 @@
 //! `None` means "unrestricted" (Table 4's last row).
 //!
 //! Deduplication is keyed by `(user, statement fingerprint)`, so the log
-//! partitions cleanly by user: [`dedup_view`] shards the scan across users
-//! and merges the per-shard survivors back into log order, producing exactly
-//! the sequential result for any thread count. The output is a [`LogView`]
-//! — an index vector over the input — so no [`LogEntry`] (or its statement
-//! `String`) is ever cloned on this path.
+//! partitions cleanly by user: [`crate::Pipeline::op_dedup`] shards the scan
+//! across users and merges the per-shard survivors back into log order,
+//! producing exactly the sequential result for any thread count. The output
+//! is a [`LogView`] — an index vector over the input — so no log entry (or
+//! its statement `String`) is ever cloned on this path.
 
+use crate::config::PipelineConfig;
 use crate::fault;
 use crate::shard::{
     balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
 };
-use sqlog_log::{LogView, QueryLog};
-use sqlog_obs::{Recorder, SpanId};
-use sqlog_skeleton::{dedup_shape_scan, text_fingerprint, Fingerprint, FnvHashMap, RawKey};
+use sqlog_log::LogView;
+use sqlog_obs::SpanId;
+use sqlog_skeleton::{text_fingerprint, Fingerprint, FnvHashMap};
 
 /// Outcome statistics of duplicate removal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,104 +39,17 @@ pub struct DedupStats {
     pub degraded_shards: usize,
 }
 
-/// First-occurrence state of one `(user, shape)` prefilter bucket.
-enum Slot {
-    /// Exactly one entry with this shape so far — its view position. Its
-    /// fingerprint has not been computed yet (it cannot have duplicated
-    /// anything, and nothing has duplicated it).
-    Pending(u32),
-    /// The shape repeated at least once; the bucket's fingerprints live in
-    /// `last_seen` from here on.
-    Materialized,
-}
-
 /// Per-shard result of a dedup scan.
 struct ShardScan {
     /// Kept view positions, in log order within the shard's users.
     kept: Vec<u32>,
     /// Poison records skipped (degraded re-runs only).
     poison: usize,
-    /// Records that were kept on shape novelty alone, with no
-    /// normalization/fingerprint work at all.
-    prefilter_hits: u64,
-    /// Records whose shape had been seen before and that therefore took the
-    /// full fingerprint path.
-    prefilter_misses: u64,
-    /// 1 when this shard's probe found too few fresh shapes and retired its
-    /// prefilter mid-scan.
-    prefilter_bailout: u64,
 }
 
-/// Prefilter-path records examined before a shard decides whether its
-/// prefilter pays for itself.
-const PREFILTER_PROBE: u64 = 4096;
-
-/// True when the probe window says to retire the prefilter: a miss costs a
-/// second normalization pass (shape scan *and* fingerprint), so the filter
-/// only breaks even when nearly every record opens a fresh bucket. More
-/// than 1/16 repeats caps the possible saving below the scan overhead.
-fn probe_failed(hits: u64, misses: u64) -> bool {
-    hits + misses >= PREFILTER_PROBE && misses * 16 > hits + misses
-}
-
-/// Retires a shard's prefilter mid-scan: every [`Slot::Pending`] bucket gets
-/// the fingerprint stamp it had deferred (in view order, each with its own
-/// timestamp — exactly what lazy materialization would have produced), and
-/// the bucket map is dropped. From here on the scan *is* the exact path.
-fn bail_out(view: &LogView<'_>, uids: &[u32], st: &mut ScanState) {
-    let mut pending: Vec<u32> = st
-        .shapes
-        .values()
-        .filter_map(|s| match s {
-            Slot::Pending(j) => Some(*j),
-            Slot::Materialized => None,
-        })
-        .collect();
-    pending.sort_unstable();
-    for j in pending {
-        let e = view.entry(j as usize);
-        st.last_seen.insert(
-            (uids[j as usize], text_fingerprint(&e.statement)),
-            e.timestamp.millis(),
-        );
-    }
-    st.shapes = FnvHashMap::default();
-}
-
-/// [`bail_out`] for degraded re-runs: each deferred fingerprint runs inside
-/// its own panic guard; a poison record simply keeps its stamp missing, as
-/// the lazy path would have.
-fn bail_out_isolated(view: &LogView<'_>, uids: &[u32], st: &mut ScanState) {
-    let mut pending: Vec<u32> = st
-        .shapes
-        .values()
-        .filter_map(|s| match s {
-            Slot::Pending(j) => Some(*j),
-            Slot::Materialized => None,
-        })
-        .collect();
-    pending.sort_unstable();
-    for j in pending {
-        let e = view.entry(j as usize);
-        if let Some(fp) = guarded(|| text_fingerprint(&e.statement)) {
-            st.last_seen
-                .insert((uids[j as usize], fp), e.timestamp.millis());
-        }
-    }
-    st.shapes = FnvHashMap::default();
-}
-
-/// Shared dedup state for one scan: the shape prefilter buckets plus the
-/// fingerprint timestamps of every materialized bucket.
-#[derive(Default)]
-struct ScanState {
-    shapes: FnvHashMap<(u32, RawKey), Slot>,
-    last_seen: FnvHashMap<(u32, Fingerprint), i64>,
-}
-
-/// Full-path duplicate decision for one record whose fingerprint is known.
-/// Always records the latest occurrence — kept *or* removed — so a burst of
-/// reloads collapses to its first statement (chain collapse).
+/// Duplicate decision for one record. Always records the latest
+/// occurrence — kept *or* removed — so a burst of reloads collapses to its
+/// first statement (chain collapse).
 fn is_dup(
     last_seen: &mut FnvHashMap<(u32, Fingerprint), i64>,
     uid: u32,
@@ -158,221 +72,91 @@ fn is_dup(
 /// entry repeats the user's previous identical statement within the
 /// threshold are duplicates. `uids[i]` identifies the user of position `i`;
 /// only positions with `uid_range.contains(uids[i])` are examined.
-///
-/// With `prefilter` on, each record's allocation-free shape key
-/// ([`dedup_shape_scan`]) is consulted first. Equal normalized text implies
-/// an equal shape key, so a never-before-seen shape proves the record
-/// duplicates nothing and is kept without normalization or fingerprinting.
-/// The first record of a bucket stays [`Slot::Pending`] until the shape
-/// repeats; only then is its fingerprint computed (lazily, with its own
-/// timestamp — valid because no same-shape record ran in between) and the
-/// bucket falls back to the exact fingerprint path. Shape collisions between
-/// *different* normalized texts (literals collapse into placeholders) only
-/// cost that fallback — they can never remove a non-duplicate.
-///
-/// Because a repeated shape pays *two* normalization passes, the prefilter is
-/// adaptive: after [`PREFILTER_PROBE`] records, a shard whose fresh-bucket
-/// rate is too low to pay for the extra scans retires it ([`bail_out`]) and
-/// finishes on the exact path — the outputs are identical either way, only
-/// the cost moves.
 fn scan_partition(
     view: &LogView<'_>,
     uids: &[u32],
     uid_range: std::ops::Range<u32>,
     threshold_ms: Option<u64>,
-    prefilter: bool,
 ) -> ShardScan {
     let fault = fault::armed("dedup");
-    let mut st = ScanState::default();
+    let mut last_seen = FnvHashMap::default();
     let mut kept = Vec::new();
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut prefilter = prefilter;
-    let mut bailout = 0u64;
     for (i, &uid) in uids.iter().enumerate() {
         if !uid_range.contains(&uid) {
             continue;
         }
         let e = view.entry(i);
         fault::trip(&fault, &e.statement);
-        if prefilter && probe_failed(hits, misses) {
-            bail_out(view, uids, &mut st);
-            prefilter = false;
-            bailout = 1;
-        }
-        if prefilter {
-            match st.shapes.entry((uid, dedup_shape_scan(&e.statement))) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(Slot::Pending(i as u32));
-                    kept.push(i as u32);
-                    hits += 1;
-                    continue;
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    if let Slot::Pending(j) = *slot.get() {
-                        let first = view.entry(j as usize);
-                        st.last_seen.insert(
-                            (uid, text_fingerprint(&first.statement)),
-                            first.timestamp.millis(),
-                        );
-                        slot.insert(Slot::Materialized);
-                    }
-                    misses += 1;
-                }
-            }
-        }
         let fp = text_fingerprint(&e.statement);
-        let now = e.timestamp.millis();
-        if !is_dup(&mut st.last_seen, uid, fp, now, threshold_ms) {
+        if !is_dup(&mut last_seen, uid, fp, e.timestamp.millis(), threshold_ms) {
             kept.push(i as u32);
         }
     }
-    ShardScan {
-        kept,
-        poison: 0,
-        prefilter_hits: hits,
-        prefilter_misses: misses,
-        prefilter_bailout: bailout,
-    }
+    ShardScan { kept, poison: 0 }
 }
 
-/// Degraded re-run of [`scan_partition`] after its worker panicked: every
-/// step that runs untrusted statement text (the injected trip, the shape
-/// scan, each fingerprint) is wrapped in its own panic guard, so exactly the
-/// poison records are skipped (they contribute neither a kept position, nor
-/// a shape bucket, nor a `last_seen` stamp) and everything around them
-/// dedups normally. Map updates happen only between guards, so a panic
-/// never leaves partial state behind.
+/// Degraded re-run of [`scan_partition`] after its worker panicked: the
+/// steps that run untrusted statement text (the injected trip and the
+/// fingerprint) run under a per-record panic guard, so exactly the poison
+/// records are skipped (they contribute neither a kept position nor a
+/// `last_seen` stamp) and everything around them dedups normally. The map
+/// is updated only outside the guard, so a panic never leaves partial
+/// state behind.
 fn scan_partition_isolated(
     view: &LogView<'_>,
     uids: &[u32],
     uid_range: std::ops::Range<u32>,
     threshold_ms: Option<u64>,
-    prefilter: bool,
 ) -> ShardScan {
     let fault = fault::armed("dedup");
-    let mut st = ScanState::default();
+    let mut last_seen = FnvHashMap::default();
     let mut kept = Vec::new();
     let mut poison = 0usize;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut prefilter = prefilter;
-    let mut bailout = 0u64;
     for (i, &uid) in uids.iter().enumerate() {
         if !uid_range.contains(&uid) {
             continue;
         }
         let e = view.entry(i);
-        if prefilter && probe_failed(hits, misses) {
-            bail_out_isolated(view, uids, &mut st);
-            prefilter = false;
-            bailout = 1;
-        }
-        if prefilter {
-            let Some(shape) = guarded(|| {
-                fault::trip(&fault, &e.statement);
-                dedup_shape_scan(&e.statement)
-            }) else {
-                poison += 1;
-                continue;
-            };
-            match st.shapes.entry((uid, shape)) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(Slot::Pending(i as u32));
-                    kept.push(i as u32);
-                    hits += 1;
-                    continue;
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    if let Slot::Pending(j) = *slot.get() {
-                        // The bucket's first entry already passed its own
-                        // guard; its fingerprint is pure, but guard it anyway
-                        // so a panic here poisons neither record's state.
-                        let first = view.entry(j as usize);
-                        if let Some(fp0) = guarded(|| text_fingerprint(&first.statement)) {
-                            st.last_seen.insert((uid, fp0), first.timestamp.millis());
-                        }
-                        slot.insert(Slot::Materialized);
-                    }
-                    misses += 1;
-                }
-            }
-            let Some(fp) = guarded(|| text_fingerprint(&e.statement)) else {
-                poison += 1;
-                continue;
-            };
-            let now = e.timestamp.millis();
-            if !is_dup(&mut st.last_seen, uid, fp, now, threshold_ms) {
-                kept.push(i as u32);
-            }
-        } else {
-            let Some(fp) = guarded(|| {
-                fault::trip(&fault, &e.statement);
-                text_fingerprint(&e.statement)
-            }) else {
-                poison += 1;
-                continue;
-            };
-            let now = e.timestamp.millis();
-            if !is_dup(&mut st.last_seen, uid, fp, now, threshold_ms) {
-                kept.push(i as u32);
-            }
+        let Some(fp) = guarded(|| {
+            fault::trip(&fault, &e.statement);
+            text_fingerprint(&e.statement)
+        }) else {
+            poison += 1;
+            continue;
+        };
+        if !is_dup(&mut last_seen, uid, fp, e.timestamp.millis(), threshold_ms) {
+            kept.push(i as u32);
         }
     }
-    ShardScan {
-        kept,
-        poison,
-        prefilter_hits: hits,
-        prefilter_misses: misses,
-        prefilter_bailout: bailout,
-    }
+    ShardScan { kept, poison }
 }
 
 /// Removes duplicates from a log view, returning the surviving entries as a
-/// new view over the same base log (no entry clones) plus statistics.
+/// new view over the same base log (no entry clones) plus statistics — the
+/// body of [`crate::Pipeline::op_dedup`].
 ///
 /// An entry is a duplicate when the same user issued a textually identical
-/// statement at most `threshold_ms` earlier — where "earlier" compares
-/// against the most recent occurrence, kept *or* removed, so a burst of
-/// reloads collapses to its first statement. A large number of removals can
-/// indicate an application refactoring, which is why the count is reported
-/// (§5.2).
+/// statement at most [`PipelineConfig::duplicate_threshold_ms`] earlier —
+/// where "earlier" compares against the most recent occurrence, kept *or*
+/// removed, so a burst of reloads collapses to its first statement. A large
+/// number of removals can indicate an application refactoring, which is why
+/// the count is reported (§5.2).
 ///
-/// `threads == 0` uses one thread per available core; since users are
-/// independent under the `(user, fingerprint)` key, the scan shards by user
-/// and the merged result is identical for every thread count.
-pub fn dedup_view<'a>(
+/// Users are independent under the `(user, fingerprint)` key, so the scan
+/// shards by user over [`PipelineConfig::parallelism`] threads and the
+/// merged result is identical for every thread count. Per-shard spans
+/// (`"dedup.shard"`, parented under `parent`), a shard-latency histogram
+/// and outcome counters land in the config's recorder.
+pub(crate) fn dedup_stage<'a>(
     view: &LogView<'a>,
-    threshold_ms: Option<u64>,
-    threads: usize,
-) -> (LogView<'a>, DedupStats) {
-    dedup_view_traced(
-        view,
-        threshold_ms,
-        threads,
-        true,
-        &Recorder::disabled(),
-        None,
-    )
-}
-
-/// [`dedup_view`] with observability: per-shard spans (`"dedup.shard"`,
-/// parented under `parent`), a shard-latency histogram and outcome counters
-/// land in `rec`. The deduplicated view and statistics are identical to the
-/// untraced call. `prefilter` toggles the shape-key prefilter (see
-/// [`scan_partition`]); the output is byte-identical either way — the knob
-/// exists for A/B timing runs.
-pub fn dedup_view_traced<'a>(
-    view: &LogView<'a>,
-    threshold_ms: Option<u64>,
-    threads: usize,
-    prefilter: bool,
-    rec: &Recorder,
+    config: &PipelineConfig,
     parent: Option<SpanId>,
 ) -> (LogView<'a>, DedupStats) {
     debug_assert!(view.is_time_sorted(), "dedup requires a time-sorted log");
+    let rec = &config.recorder;
+    let threshold_ms = config.duplicate_threshold_ms;
     let n = view.len();
-    let threads = resolve_threads(threads).min(n.max(1));
+    let threads = resolve_threads(config.parallelism).min(n.max(1));
 
     // Partition by user: intern user keys by first appearance.
     let mut uid_of: FnvHashMap<&str, u32> = FnvHashMap::default();
@@ -406,38 +190,16 @@ pub fn dedup_view_traced<'a>(
         },
         // Work units = entries belonging to the shard's user range.
         |r| counts[r.clone()].iter().sum(),
-        |r| {
-            scan_partition(
-                view,
-                uids,
-                r.start as u32..r.end as u32,
-                threshold_ms,
-                prefilter,
-            )
-        },
-        |r| {
-            scan_partition_isolated(
-                view,
-                uids,
-                r.start as u32..r.end as u32,
-                threshold_ms,
-                prefilter,
-            )
-        },
+        |r| scan_partition(view, uids, r.start as u32..r.end as u32, threshold_ms),
+        |r| scan_partition_isolated(view, uids, r.start as u32..r.end as u32, threshold_ms),
     );
     let mut poison = 0usize;
-    let mut prefilter_hits = 0u64;
-    let mut prefilter_misses = 0u64;
-    let mut prefilter_bailouts = 0u64;
     // Per-shard survivors are disjoint view positions; sorting restores
     // global log order, making the merge independent of sharding.
     let mut kept: Vec<u32> = Vec::new();
     for shard in shards {
         kept.extend(shard.kept);
         poison += shard.poison;
-        prefilter_hits += shard.prefilter_hits;
-        prefilter_misses += shard.prefilter_misses;
-        prefilter_bailouts += shard.prefilter_bailout;
     }
     kept.sort_unstable();
 
@@ -453,28 +215,35 @@ pub fn dedup_view_traced<'a>(
     rec.counter("dedup.kept", stats.kept as u64);
     rec.counter("dedup.poison_records", stats.poison as u64);
     rec.counter("dedup.degraded_shards", stats.degraded_shards as u64);
-    rec.counter("dedup.prefilter_hits", prefilter_hits);
-    rec.counter("dedup.prefilter_misses", prefilter_misses);
-    rec.counter("dedup.prefilter_bailouts", prefilter_bailouts);
     (view.select(kept), stats)
-}
-
-/// Removes duplicates, returning the pre-cleaned log and statistics.
-///
-/// Compatibility wrapper around [`dedup_view`]: runs single-threaded and
-/// materializes the surviving entries into an owned [`QueryLog`].
-pub fn dedup(log: &QueryLog, threshold_ms: Option<u64>) -> (QueryLog, DedupStats) {
-    let (view, stats) = dedup_view(&LogView::identity(log), threshold_ms, 1);
-    (view.to_log(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlog_log::{LogEntry, Timestamp};
+    use sqlog_log::{LogEntry, QueryLog, Timestamp};
 
     fn entry(id: u64, ms: i64, user: &str, stmt: &str) -> LogEntry {
         LogEntry::minimal(id, stmt, Timestamp::from_millis(ms)).with_user(user)
+    }
+
+    /// Surviving entry ids and statistics at `threads` worker threads.
+    fn dedup_on(
+        log: &QueryLog,
+        threshold_ms: Option<u64>,
+        threads: usize,
+    ) -> (Vec<u64>, DedupStats) {
+        let config = PipelineConfig {
+            duplicate_threshold_ms: threshold_ms,
+            parallelism: threads,
+            ..PipelineConfig::default()
+        };
+        let (kept, stats) = dedup_stage(&LogView::identity(log), &config, None);
+        (kept.iter().map(|e| e.id).collect(), stats)
+    }
+
+    fn dedup(log: &QueryLog, threshold_ms: Option<u64>) -> (Vec<u64>, DedupStats) {
+        dedup_on(log, threshold_ms, 1)
     }
 
     #[test]
@@ -484,10 +253,8 @@ mod tests {
             entry(1, 500, "a", "SELECT 1"),
             entry(2, 5_000, "a", "SELECT 1"),
         ]);
-        let (clean, stats) = dedup(&log, Some(1_000));
+        let (ids, stats) = dedup(&log, Some(1_000));
         assert_eq!(stats.removed, 1);
-        assert_eq!(clean.len(), 2);
-        let ids: Vec<_> = clean.entries.iter().map(|e| e.id).collect();
         assert_eq!(ids, vec![0, 2]);
     }
 
@@ -499,9 +266,9 @@ mod tests {
             entry(1, 900, "a", "SELECT 1"),
             entry(2, 1_800, "a", "SELECT 1"),
         ]);
-        let (clean, stats) = dedup(&log, Some(1_000));
+        let (ids, stats) = dedup(&log, Some(1_000));
         assert_eq!(stats.removed, 2);
-        assert_eq!(clean.len(), 1);
+        assert_eq!(ids, vec![0]);
     }
 
     #[test]
@@ -523,9 +290,9 @@ mod tests {
         ]);
         let mut log = log;
         log.sort_by_time();
-        let (clean, stats) = dedup(&log, None);
+        let (ids, stats) = dedup(&log, None);
         assert_eq!(stats.removed, 1);
-        assert_eq!(clean.len(), 2);
+        assert_eq!(ids.len(), 2);
     }
 
     #[test]
@@ -583,131 +350,47 @@ mod tests {
         }
         let mut log = QueryLog::from_entries(entries);
         log.sort_by_time();
-        let view = LogView::identity(&log);
-        let (seq, seq_stats) = dedup_view(&view, Some(1_000), 1);
+        let (seq, seq_stats) = dedup(&log, Some(1_000));
         for threads in [2, 3, 8] {
-            let (par, par_stats) = dedup_view(&view, Some(1_000), threads);
+            let (par, par_stats) = dedup_on(&log, Some(1_000), threads);
             assert_eq!(seq_stats, par_stats, "threads {threads}");
-            let a: Vec<u64> = seq.iter().map(|e| e.id).collect();
-            let b: Vec<u64> = par.iter().map(|e| e.id).collect();
-            assert_eq!(a, b, "threads {threads}");
+            assert_eq!(seq, par, "threads {threads}");
         }
     }
 
     #[test]
-    fn prefilter_and_exact_path_agree_on_hostile_text() {
-        // Statements picked so that shapes collide across different texts
-        // (literals collapse) and normalize-equal pairs differ in raw bytes
-        // (trailing semicolons, comments, case) — the prefilter must neither
-        // split true duplicates nor merge distinct statements.
-        let stmts = [
-            "SELECT a FROM t WHERE x = 1",
-            "SELECT a FROM t WHERE x = 1;",
-            "select A from T where X = 1 -- c",
-            "SELECT a FROM t WHERE x = 2",
-            "SELECT a/*gap*/FROM t WHERE x = 1",
-            "SELECT 'it''s' FROM t",
-            "SELECT 'its' FROM t",
-            "SELECT 'oops",
-            "INSERT INTO t VALUES (1)",
-        ];
-        let mut entries = Vec::new();
-        for (i, chunk) in (0..400u64).map(|i| (i, i % 3)).collect::<Vec<_>>().iter() {
-            let user = format!("u{chunk}");
-            let stmt = stmts[(*i as usize * 7) % stmts.len()];
-            entries.push(entry(*i, (*i as i64) * 137, &user, stmt));
-        }
-        let mut log = QueryLog::from_entries(entries);
-        log.sort_by_time();
-        let view = LogView::identity(&log);
-        for threshold in [Some(0u64), Some(500), Some(10_000), None] {
-            for threads in [1usize, 4] {
-                let rec = Recorder::disabled();
-                let (on, on_stats) = dedup_view_traced(&view, threshold, threads, true, &rec, None);
-                let (off, off_stats) =
-                    dedup_view_traced(&view, threshold, threads, false, &rec, None);
-                assert_eq!(on_stats, off_stats, "threshold {threshold:?}");
-                let a: Vec<u64> = on.iter().map(|e| e.id).collect();
-                let b: Vec<u64> = off.iter().map(|e| e.id).collect();
-                assert_eq!(a, b, "threshold {threshold:?} threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn prefilter_counters_partition_the_input() {
+    fn hostile_text_dedups_on_normalized_text() {
+        // Normalize-equal pairs that differ in raw bytes (trailing
+        // semicolons, comments, case) are duplicates; texts that differ in
+        // a literal, in comment-glued tokens or in string-literal case are
+        // not. Unterminated literals and non-SELECTs dedup like any text.
         let log = QueryLog::from_entries(vec![
-            entry(0, 0, "a", "SELECT 1"),   // fresh shape: hit
-            entry(1, 100, "a", "SELECT 1"), // repeat shape: miss (dup)
-            entry(2, 200, "a", "SELECT 2"), // same shape (literal): miss
-            entry(3, 300, "a", "SELECT x"), // fresh shape: hit
-            entry(4, 400, "b", "SELECT 1"), // other user, fresh: hit
+            entry(0, 0, "a", "SELECT a FROM t WHERE x = 1"),
+            entry(1, 100, "a", "SELECT a FROM t WHERE x = 1;"),
+            entry(2, 150, "b", "SELECT a FROM t WHERE x = 1"),
+            entry(3, 200, "a", "select A from T where X = 1 -- c"),
+            entry(4, 250, "b", "SELECT a FROM t WHERE x = 1 ; "),
+            entry(5, 300, "a", "SELECT a FROM t WHERE x = 2"),
+            entry(6, 400, "a", "SELECT a/*gap*/FROM t WHERE x = 1"),
+            entry(7, 500, "a", "SELECT 'it''s' FROM t"),
+            entry(8, 600, "a", "SELECT 'its' FROM t"),
+            entry(9, 700, "a", "SELECT 'oops"),
+            entry(10, 800, "a", "INSERT INTO t VALUES (1)"),
+            entry(11, 900, "a", "SELECT 'it''s' FROM t"),
+            entry(12, 1_000, "a", "select 'its' from T"),
+            entry(13, 1_100, "a", "insert into t values (1) -- again"),
+            entry(14, 5_000, "a", "SELECT 'oops"),
+            entry(15, 5_100, "a", "SELECT 'OOPS"),
         ]);
-        let rec = Recorder::new();
-        let view = LogView::identity(&log);
-        let (_, stats) = dedup_view_traced(&view, Some(1_000), 1, true, &rec, None);
-        assert_eq!(stats.removed, 1);
-        let counters = rec.counters();
-        assert_eq!(counters.get("dedup.prefilter_hits"), Some(&3));
-        assert_eq!(counters.get("dedup.prefilter_misses"), Some(&2));
-    }
-
-    #[test]
-    fn low_diversity_scans_bail_out_and_still_match_the_exact_path() {
-        // Three shapes cycling over literal values: past the probe window
-        // almost every record repeats a shape, so the shard must retire its
-        // prefilter — and produce the exact path's output to the byte.
-        let n = super::PREFILTER_PROBE as usize + 500;
-        let mut entries = Vec::new();
-        for i in 0..n {
-            let stmt = match i % 3 {
-                0 => format!("SELECT a FROM t WHERE x = {}", i % 97),
-                1 => format!("SELECT b FROM u WHERE s = '{}'", i % 89),
-                _ => format!("SELECT c FROM v WHERE y = {} AND z = 0", i % 83),
-            };
-            entries.push(entry(i as u64, (i as i64) * 211, "a", &stmt));
+        let windowed = vec![0, 2, 5, 6, 7, 8, 9, 10, 14, 15];
+        let unrestricted = vec![0, 2, 5, 6, 7, 8, 9, 10, 15];
+        for threads in [1usize, 4] {
+            let (ids, stats) = dedup_on(&log, Some(1_000), threads);
+            assert_eq!(ids, windowed, "threads {threads}");
+            assert_eq!(stats.removed, log.len() - windowed.len());
+            let (ids, _) = dedup_on(&log, None, threads);
+            assert_eq!(ids, unrestricted, "threads {threads}");
         }
-        let log = QueryLog::from_entries(entries);
-        let view = LogView::identity(&log);
-        let rec = Recorder::new();
-        let (on, on_stats) = dedup_view_traced(&view, Some(1_000), 1, true, &rec, None);
-        let (off, off_stats) =
-            dedup_view_traced(&view, Some(1_000), 1, false, &Recorder::disabled(), None);
-        assert_eq!(on_stats, off_stats);
-        let a: Vec<u64> = on.iter().map(|e| e.id).collect();
-        let b: Vec<u64> = off.iter().map(|e| e.id).collect();
-        assert_eq!(a, b);
-        let counters = rec.counters();
-        assert_eq!(counters.get("dedup.prefilter_bailouts"), Some(&1));
-        // Post-bailout records are exact-path, so hits + misses stay at the
-        // probe window.
-        let probed = counters["dedup.prefilter_hits"] + counters["dedup.prefilter_misses"];
-        assert_eq!(probed, super::PREFILTER_PROBE);
-    }
-
-    #[test]
-    fn diverse_scans_keep_the_prefilter_past_the_probe() {
-        // Every statement is a fresh shape — the probe must not bail out.
-        let n = super::PREFILTER_PROBE as usize + 500;
-        let mut entries = Vec::new();
-        for i in 0..n {
-            let stmt = format!("SELECT c{i} FROM t{i} WHERE x = 1");
-            entries.push(entry(i as u64, (i as i64) * 211, "a", &stmt));
-        }
-        let log = QueryLog::from_entries(entries);
-        let view = LogView::identity(&log);
-        let rec = Recorder::new();
-        let (_, stats) = dedup_view_traced(&view, Some(1_000), 1, true, &rec, None);
-        assert_eq!(stats.removed, 0);
-        let counters = rec.counters();
-        assert_eq!(
-            counters
-                .get("dedup.prefilter_bailouts")
-                .copied()
-                .unwrap_or(0),
-            0
-        );
-        assert_eq!(counters["dedup.prefilter_hits"], n as u64);
     }
 
     #[test]
@@ -717,8 +400,11 @@ mod tests {
             entry(1, 100, "a", "SELECT 1"),
             entry(2, 5_000, "a", "SELECT 2"),
         ]);
-        let view = LogView::identity(&log);
-        let (clean, stats) = dedup_view(&view, Some(1_000), 1);
+        let config = PipelineConfig {
+            parallelism: 1,
+            ..PipelineConfig::default()
+        };
+        let (clean, stats) = dedup_stage(&LogView::identity(&log), &config, None);
         assert_eq!(stats.removed, 1);
         assert_eq!(clean.len(), 2);
         // The surviving positions map back into the original log.

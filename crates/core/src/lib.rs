@@ -16,6 +16,14 @@
 //! 5. **solve antipatterns** — rewrite solvable instances, emit the clean
 //!    and removal logs and statistics ([`solve`], [`stats`]).
 //!
+//! Each stage has one entry point, a stage operator on [`Pipeline`]
+//! ([`Pipeline::op_dedup`], [`Pipeline::op_parse`],
+//! [`Pipeline::op_sessions`], [`Pipeline::op_mine`], [`Pipeline::op_detect`],
+//! [`Pipeline::op_solve`]) that reads every knob — thread count, recorder,
+//! thresholds — from the pipeline's [`PipelineConfig`]. [`Pipeline::run`]
+//! drives them back to back; a custom driver calls them one by one on a
+//! [`sqlog_log::LogView`].
+//!
 //! ```
 //! use sqlog_core::{Pipeline, PipelineConfig};
 //! use sqlog_catalog::skyserver_catalog;
@@ -63,18 +71,12 @@ pub use checkpoint::{
     Stage, CHECKPOINT_SCHEMA, MANIFEST_SCHEMA,
 };
 pub use config::PipelineConfig;
-pub use dedup::{dedup, dedup_view, dedup_view_traced, DedupStats};
+pub use dedup::DedupStats;
 pub use detect::{AntipatternClass, AntipatternInstance, DetectCtx, Detector};
 pub use ext::{ExtensionRegistry, Solver, SolverSet};
 pub use ingest::{ingest_file_traced, ingest_slice_traced};
-pub use mine::{
-    build_sessions, build_sessions_view, build_sessions_view_traced, mine_patterns,
-    mine_patterns_sharded, mine_patterns_traced, MinedPatterns, PatternData, Session, Sessions,
-};
-pub use parse_step::{
-    parse_log, parse_view, parse_view_traced, parse_view_with, ParseCacheStats, ParseOptions,
-    ParseStats, ParsedLog, ParsedRecord,
-};
+pub use mine::{MinedPatterns, PatternData, Session, Sessions};
+pub use parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord};
 pub use pipeline::{DetectOutput, Pipeline, PipelineResult};
 pub use recommend::{evaluate_against_marks, RecommendationEval, Recommender};
 pub use report::{render_pattern_table, render_statistics, top_patterns, PatternRow};

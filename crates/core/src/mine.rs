@@ -18,13 +18,16 @@
 //! pattern `[A, A]` of the paper's Table 6 come out at roughly half the
 //! frequency of `[A]`, matching the ratio between Tables 6 and 7.
 //!
-//! The hot path is allocation-free per occurrence: a [`PatternCounter`]
+//! The hot path is allocation-free per occurrence: a `PatternCounter`
 //! interns each pattern key once (dense `u32` pattern ids, slice-borrow
 //! lookups — no `vec![t]` / `gram.to_vec()` per occurrence), tracks
 //! non-overlap ends in a stamp-versioned table instead of a per-session
 //! hash map, and resolves unigrams through a direct template-id index.
 //! Sessions partition by user, so mining shards across contiguous session
 //! ranges and the merged counts are identical for every thread count.
+//!
+//! The two steps' entry points are [`crate::Pipeline::op_sessions`] and
+//! [`crate::Pipeline::op_mine`].
 
 use crate::config::PipelineConfig;
 use crate::fault;
@@ -33,8 +36,8 @@ use crate::shard::{
     balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
 };
 use crate::store::TemplateId;
-use sqlog_log::{LogView, QueryLog};
-use sqlog_obs::{Recorder, SpanId};
+use sqlog_log::LogView;
+use sqlog_obs::SpanId;
 use sqlog_skeleton::FnvHashMap;
 use std::collections::{HashMap, HashSet};
 
@@ -126,39 +129,28 @@ fn split_user_stream(
     poison
 }
 
-/// Splits parsed records into per-user sessions.
+/// Splits parsed records into per-user sessions — the body of
+/// [`crate::Pipeline::op_sessions`]. A user's stream splits where the gap
+/// between two statements exceeds [`PipelineConfig::session_gap_ms`].
 ///
 /// Users are interned by first appearance in record order; sessions come
-/// out ordered by (user id, time). With `threads > 1` the gap-splitting
-/// shards across contiguous user ranges — the result is identical for every
-/// thread count.
-pub fn build_sessions_view(
-    view: &LogView<'_>,
-    records: &[ParsedRecord],
-    gap_ms: u64,
-    threads: usize,
-) -> Sessions {
-    build_sessions_view_traced(view, records, gap_ms, threads, &Recorder::disabled(), None)
-}
-
-/// [`build_sessions_view`] with observability: per-shard spans
+/// out ordered by (user id, time). The gap-splitting shards across
+/// contiguous user ranges over [`PipelineConfig::parallelism`] threads —
+/// the result is identical for every thread count. Per-shard spans
 /// (`"sessions.shard"`, parented under `parent`), a shard-latency histogram
-/// and outcome counters land in `rec`. Sessions are identical to the
-/// untraced call.
-pub fn build_sessions_view_traced(
+/// and outcome counters land in the config's recorder.
+pub(crate) fn sessions_stage(
     view: &LogView<'_>,
     records: &[ParsedRecord],
-    gap_ms: u64,
-    threads: usize,
-    rec: &Recorder,
+    config: &PipelineConfig,
     parent: Option<SpanId>,
 ) -> Sessions {
     let mut user_ids: FnvHashMap<&str, u32> = FnvHashMap::default();
     let mut user_names: Vec<String> = Vec::new();
     let mut streams: Vec<Vec<usize>> = Vec::new();
 
-    for (ri, rec) in records.iter().enumerate() {
-        let user_key = view.entry(rec.entry_idx as usize).user_key();
+    for (ri, record) in records.iter().enumerate() {
+        let user_key = view.entry(record.entry_idx as usize).user_key();
         let next = streams.len() as u32;
         let uid = *user_ids.entry(user_key).or_insert(next);
         if uid == next {
@@ -168,7 +160,9 @@ pub fn build_sessions_view_traced(
         streams[uid as usize].push(ri);
     }
 
-    let threads = resolve_threads(threads).min(streams.len().max(1));
+    let rec = &config.recorder;
+    let gap_ms = config.session_gap_ms;
+    let threads = resolve_threads(config.parallelism).min(streams.len().max(1));
     let ranges = if threads <= 1 || streams.len() <= 1 {
         whole_range(streams.len())
     } else {
@@ -245,14 +239,6 @@ pub fn build_sessions_view_traced(
         poison,
         degraded_shards: degraded,
     }
-}
-
-/// Splits parsed records into per-user sessions.
-///
-/// Compatibility wrapper around [`build_sessions_view`] (single-threaded)
-/// for owned logs.
-pub fn build_sessions(log: &QueryLog, records: &[ParsedRecord], gap_ms: u64) -> Sessions {
-    build_sessions_view(&LogView::identity(log), records, gap_ms, 1)
 }
 
 /// Statistics of one mined pattern.
@@ -463,44 +449,25 @@ fn merge_counters(counters: Vec<PatternCounter>) -> MinedPatterns {
     }
 }
 
-/// Mines patterns from the sessions.
-pub fn mine_patterns(
-    sessions: &Sessions,
-    records: &[ParsedRecord],
-    cfg: &PipelineConfig,
-) -> MinedPatterns {
-    mine_patterns_sharded(sessions, records, cfg, 1)
-}
-
-/// Mines patterns from the sessions on up to `threads` threads
-/// (`0` = one per available core).
+/// Mines patterns from the sessions — the body of
+/// [`crate::Pipeline::op_mine`]: n-grams up to
+/// [`PipelineConfig::max_ngram`] templates.
 ///
 /// Sessions are user-partitioned and patterns never cross session
-/// boundaries, so sharding the session list yields exactly the sequential
-/// counts for any thread count.
-pub fn mine_patterns_sharded(
+/// boundaries, so sharding the session list over
+/// [`PipelineConfig::parallelism`] threads yields exactly the sequential
+/// counts for any thread count. Per-shard spans (`"mine.shard"`, parented
+/// under `parent`), a shard-latency histogram, a session-size histogram and
+/// outcome counters land in the config's recorder.
+pub(crate) fn mine_stage(
     sessions: &Sessions,
     records: &[ParsedRecord],
-    cfg: &PipelineConfig,
-    threads: usize,
-) -> MinedPatterns {
-    mine_patterns_traced(sessions, records, cfg, threads, &Recorder::disabled(), None)
-}
-
-/// [`mine_patterns_sharded`] with observability: per-shard spans
-/// (`"mine.shard"`, parented under `parent`), a shard-latency histogram, a
-/// session-size histogram and outcome counters land in `rec`. Counts are
-/// identical to the untraced call.
-pub fn mine_patterns_traced(
-    sessions: &Sessions,
-    records: &[ParsedRecord],
-    cfg: &PipelineConfig,
-    threads: usize,
-    rec: &Recorder,
+    config: &PipelineConfig,
     parent: Option<SpanId>,
 ) -> MinedPatterns {
+    let rec = &config.recorder;
     let all = &sessions.sessions;
-    let threads = resolve_threads(threads).min(all.len().max(1));
+    let threads = resolve_threads(config.parallelism).min(all.len().max(1));
     let ranges = if threads <= 1 || all.len() < 2 {
         whole_range(all.len())
     } else {
@@ -522,12 +489,12 @@ pub fn mine_patterns_traced(
                 vec![PatternCounter::mine_sessions(
                     &all[r],
                     records,
-                    cfg.max_ngram,
+                    config.max_ngram,
                 )],
                 0usize,
             )
         },
-        |r| PatternCounter::mine_sessions_isolated(&all[r], records, cfg.max_ngram),
+        |r| PatternCounter::mine_sessions_isolated(&all[r], records, config.max_ngram),
     );
     let mut counters: Vec<PatternCounter> = Vec::new();
     let mut poison = 0usize;
@@ -557,9 +524,32 @@ pub fn mine_patterns_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse_step::parse_log;
+    use crate::parse_step::parse_stage;
     use crate::store::TemplateStore;
     use sqlog_log::{LogEntry, QueryLog, Timestamp};
+
+    fn config(threads: usize) -> PipelineConfig {
+        PipelineConfig {
+            parallelism: threads,
+            ..PipelineConfig::default()
+        }
+    }
+
+    fn parse(log: &QueryLog, store: &TemplateStore) -> Vec<ParsedRecord> {
+        parse_stage(&LogView::identity(log), store, &config(1), None).records
+    }
+
+    fn split(log: &QueryLog, records: &[ParsedRecord], gap_ms: u64, threads: usize) -> Sessions {
+        let config = PipelineConfig {
+            session_gap_ms: gap_ms,
+            ..config(threads)
+        };
+        sessions_stage(&LogView::identity(log), records, &config, None)
+    }
+
+    fn mine(sessions: &Sessions, records: &[ParsedRecord], threads: usize) -> MinedPatterns {
+        mine_stage(sessions, records, &config(threads), None)
+    }
 
     fn log_of(rows: &[(&str, i64, &str)]) -> (QueryLog, Vec<ParsedRecord>, TemplateStore) {
         let log = QueryLog::from_entries(
@@ -571,8 +561,8 @@ mod tests {
                 .collect(),
         );
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        (log, parsed.records, store)
+        let records = parse(&log, &store);
+        (log, records, store)
     }
 
     #[test]
@@ -584,11 +574,11 @@ mod tests {
             ("SELECT a FROM t WHERE x = 4", 12, "u2"),
         ]);
         // With a 20 000 s gap allowance only the user switch splits.
-        let s = build_sessions(&log, &records, 20_000_000);
+        let s = split(&log, &records, 20_000_000, 1);
         assert_eq!(s.sessions.len(), 2);
         // With a 60 s allowance the 9 990 s pause splits u1's stream too
         // (but the 10 s gap does not).
-        let s = build_sessions(&log, &records, 60_000);
+        let s = split(&log, &records, 60_000, 1);
         assert_eq!(s.sessions.len(), 3);
         assert_eq!(s.user_names.len(), 2);
     }
@@ -612,11 +602,10 @@ mod tests {
         let (mut log, _, _) = log_of(&refs);
         log.sort_by_time();
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let view = LogView::identity(&log);
-        let seq = build_sessions_view(&view, &parsed.records, 60_000, 1);
+        let records = parse(&log, &store);
+        let seq = split(&log, &records, 60_000, 1);
         for threads in [2, 3, 8] {
-            let par = build_sessions_view(&view, &parsed.records, 60_000, threads);
+            let par = split(&log, &records, 60_000, threads);
             assert_eq!(seq.sessions, par.sessions, "threads {threads}");
             assert_eq!(seq.user_names, par.user_names, "threads {threads}");
         }
@@ -629,8 +618,8 @@ mod tests {
             ("SELECT a FROM t WHERE x = 2", 1, "u1"),
             ("SELECT a FROM t WHERE x = 3", 2, "u2"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
-        let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
+        let sessions = split(&log, &records, 300_000, 1);
+        let mined = mine(&sessions, &records, 1);
         let t = records[0].template;
         let d = &mined.patterns[&vec![t]];
         assert_eq!(d.frequency, 3);
@@ -647,8 +636,8 @@ mod tests {
             ("SELECT a FROM t WHERE x = 3", 2, "u1"),
             ("SELECT a FROM t WHERE x = 4", 3, "u1"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
-        let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
+        let sessions = split(&log, &records, 300_000, 1);
+        let mined = mine(&sessions, &records, 1);
         let t = records[0].template;
         assert_eq!(mined.patterns[&vec![t, t]].frequency, 2);
         assert_eq!(mined.patterns[&vec![t]].frequency, 4);
@@ -663,8 +652,8 @@ mod tests {
             ("SELECT a FROM t WHERE x = 2", 2, "u1"),
             ("SELECT b FROM t WHERE x = 2", 3, "u1"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
-        let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
+        let sessions = split(&log, &records, 300_000, 1);
+        let mined = mine(&sessions, &records, 1);
         let (a, b) = (records[0].template, records[1].template);
         assert_eq!(mined.patterns[&vec![a, b]].frequency, 2);
         assert_eq!(mined.patterns[&vec![b, a]].frequency, 1);
@@ -676,8 +665,8 @@ mod tests {
             ("SELECT a FROM t WHERE x = 1", 0, "u1"),
             ("SELECT b FROM t WHERE x = 1", 1_000_000, "u1"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
-        let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
+        let sessions = split(&log, &records, 300_000, 1);
+        let mined = mine(&sessions, &records, 1);
         let (a, b) = (records[0].template, records[1].template);
         assert!(!mined.patterns.contains_key(&vec![a, b]));
     }
@@ -689,8 +678,8 @@ mod tests {
             ("SELECT a FROM t WHERE x = 2", 1, "u1"),
             ("SELECT c FROM t WHERE x = 1", 2, "u1"),
         ]);
-        let sessions = build_sessions(&log, &records, 300_000);
-        let mined = mine_patterns(&sessions, &records, &PipelineConfig::default());
+        let sessions = split(&log, &records, 300_000, 1);
+        let mined = mine(&sessions, &records, 1);
         let ranked = mined.ranked(1);
         assert!(ranked[0].1.frequency >= ranked.last().unwrap().1.frequency);
         // min_frequency filters.
@@ -718,12 +707,11 @@ mod tests {
         let (mut log, _, _) = log_of(&refs);
         log.sort_by_time();
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 60_000);
-        let cfg = PipelineConfig::default();
-        let seq = mine_patterns(&sessions, &parsed.records, &cfg);
+        let records = parse(&log, &store);
+        let sessions = split(&log, &records, 60_000, 1);
+        let seq = mine(&sessions, &records, 1);
         for threads in [2, 3, 8] {
-            let par = mine_patterns_sharded(&sessions, &parsed.records, &cfg, threads);
+            let par = mine(&sessions, &records, threads);
             assert_eq!(seq.total_queries, par.total_queries, "threads {threads}");
             assert_eq!(seq.patterns, par.patterns, "threads {threads}");
         }

@@ -34,8 +34,8 @@
 //! Statements the scanner cannot key (unterminated constructs), oversized
 //! statements, and uncacheable shapes all take the fallback path, so the
 //! cache can only ever *skip* work, never change an outcome. Debug builds
-//! additionally cross-check the first few hits per worker against a full
-//! parse (see [`ShapeCache`]'s `crosscheck` budget).
+//! additionally cross-check the first `CROSSCHECK_HITS` (64) hits per
+//! worker against a full parse.
 
 use crate::parse_step::{parse_one, Outcome, ParsedRecord};
 use crate::store::{TemplateId, TemplateStore};
@@ -99,6 +99,11 @@ enum CacheEntry {
     Select(Box<SelectEntry>),
 }
 
+/// Cache hits per worker that debug builds cross-check against a full
+/// parse (panicking on divergence).
+#[cfg(debug_assertions)]
+const CROSSCHECK_HITS: u64 = 64;
+
 /// Per-worker shape cache plus its effectiveness tally.
 ///
 /// Workers own their cache (like the fingerprint→id memo) so the hot path
@@ -142,16 +147,12 @@ impl ShapeCache {
     }
 
     /// Parses one statement through the cache. `statement_of` resolves an
-    /// entry index back to its text (for the lazy sentinel probe);
-    /// `crosscheck` is the per-worker budget of debug-build hit
-    /// verifications.
-    #[allow(clippy::too_many_arguments)]
+    /// entry index back to its text (for the lazy sentinel probe).
     pub(crate) fn parse_one_cached<'v>(
         &mut self,
         store: &TemplateStore,
         memo: &mut FnvHashMap<Fingerprint, TemplateId>,
         limits: &ParseLimits,
-        crosscheck: usize,
         entry_idx: u32,
         sql: &str,
         statement_of: &dyn Fn(u32) -> &'v str,
@@ -224,7 +225,7 @@ impl ShapeCache {
                     Some(rec) => {
                         self.hits += 1;
                         #[cfg(debug_assertions)]
-                        if (self.crosschecks as usize) < crosscheck {
+                        if self.crosschecks < CROSSCHECK_HITS {
                             self.crosschecks += 1;
                             match parse_one(store, memo, limits, entry_idx, sql) {
                                 Outcome::Select(fresh) => assert_eq!(
@@ -237,8 +238,6 @@ impl ShapeCache {
                                 ),
                             }
                         }
-                        #[cfg(not(debug_assertions))]
-                        let _ = crosscheck;
                         Outcome::Select(Box::new(rec))
                     }
                     None => {
@@ -559,15 +558,9 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, sql)| {
-                cache.parse_one_cached(
-                    &store,
-                    &mut memo,
-                    &limits,
-                    usize::MAX,
-                    i as u32,
-                    sql,
-                    &|j| statements[j as usize],
-                )
+                cache.parse_one_cached(&store, &mut memo, &limits, i as u32, sql, &|j| {
+                    statements[j as usize]
+                })
             })
             .collect();
         (outcomes, cache, store)

@@ -8,8 +8,9 @@
 //! records must stay small enough for multi-million-entry logs; solvers that
 //! need an AST re-parse the one statement they rewrite.
 //!
-//! Parsing is embarrassingly parallel and runs on a scoped thread pool. Two
-//! things keep the hot path cheap and the result deterministic:
+//! The stage's entry point is [`crate::Pipeline::op_parse`]. Parsing is
+//! embarrassingly parallel and runs on a scoped thread pool. Two things
+//! keep the hot path cheap and the result deterministic:
 //!
 //! * each worker memoizes fingerprint → id locally, so the shared
 //!   [`TemplateStore`] lock is only taken on a worker's *first* sight of a
@@ -19,13 +20,14 @@
 //!   keys, marks, and instance identities) are identical for every thread
 //!   count.
 
+use crate::config::PipelineConfig;
 use crate::fault;
 use crate::parse_cache::ShapeCache;
 use crate::shard::{guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace};
 use crate::store::{TemplateId, TemplateStore};
 use serde::{Deserialize, Serialize};
-use sqlog_log::{LogView, QueryLog};
-use sqlog_obs::{Recorder, SpanId};
+use sqlog_log::LogView;
+use sqlog_obs::SpanId;
 use sqlog_skeleton::{
     primary_table, Fingerprint, FnvHashMap, OutputColumns, PredicateProfile, QueryTemplate,
 };
@@ -76,8 +78,8 @@ impl ParseStats {
     }
 }
 
-/// Effectiveness counters of the template-aware parse cache
-/// (see [`crate::parse_cache`]).
+/// Effectiveness counters of the template-aware parse cache, which
+/// memoizes each worker's repeated statement shapes.
 ///
 /// Kept separate from [`ParseStats`]: each worker owns its cache, so the
 /// hit/miss split depends on how statements shard across threads. The
@@ -106,28 +108,6 @@ impl ParseCacheStats {
             0.0
         } else {
             100.0 * self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Knobs of the parse stage beyond the resource limits.
-#[derive(Debug, Clone, Copy)]
-pub struct ParseOptions {
-    /// Parser resource guards.
-    pub limits: ParseLimits,
-    /// Enable the template-aware parse cache ([`crate::parse_cache`]).
-    pub cache: bool,
-    /// In debug builds, cross-check this many cache hits per worker
-    /// against a full parse (panics on divergence).
-    pub crosscheck: usize,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            limits: ParseLimits::default(),
-            cache: true,
-            crosscheck: 64,
         }
     }
 }
@@ -238,54 +218,33 @@ fn canonicalize_templates(store: &TemplateStore, preexisting: usize, records: &m
     }
 }
 
-/// Parses a log view into records, interning templates in `store`.
+/// Parses a log view into records, interning templates in `store` — the
+/// body of [`crate::Pipeline::op_parse`].
 ///
-/// `threads == 0` uses one thread per available core. Records, statistics,
-/// and template ids are identical for every thread count (ids are
-/// canonicalized to first appearance in record order). Uses the default
-/// [`ParseLimits`]; the pipeline passes its configured limits through
-/// [`parse_view_with`].
-pub fn parse_view(view: &LogView<'_>, store: &TemplateStore, threads: usize) -> ParsedLog {
-    parse_view_with(view, store, &ParseLimits::default(), threads)
-}
-
-/// [`parse_view`] with explicit parser resource limits.
+/// Records, statistics and template ids are identical for every
+/// [`PipelineConfig::parallelism`] (ids are canonicalized to first
+/// appearance in record order) and whether or not
+/// [`PipelineConfig::parse_cache`] is on. Shards that panic (a poison
+/// statement crashing the parser) are re-run per-record: the poison
+/// statement alone is counted and dropped, every other statement of the
+/// shard parses normally.
 ///
-/// Shards that panic (a poison statement crashing the parser) are re-run
-/// per-record: the poison statement alone is counted and dropped, every
-/// other statement of the shard parses normally, and the template-id
-/// canonicalization keeps ids identical for every thread count.
-pub fn parse_view_with(
+/// Per-shard spans (`"parse.shard"`, parented under `parent`), a
+/// shard-latency histogram and outcome counters — including
+/// template-interner effectiveness (`parse.templates_interned` vs
+/// `parse.template_cache_hits`) and parse-cache effectiveness
+/// (`parse.cache_hits` / `parse.cache_misses` / `parse.cache_fallbacks`) —
+/// land in the config's recorder.
+pub(crate) fn parse_stage(
     view: &LogView<'_>,
     store: &TemplateStore,
-    limits: &ParseLimits,
-    threads: usize,
-) -> ParsedLog {
-    let options = ParseOptions {
-        limits: *limits,
-        ..ParseOptions::default()
-    };
-    parse_view_traced(view, store, &options, threads, &Recorder::disabled(), None)
-}
-
-/// [`parse_view_with`] with observability: per-shard spans
-/// (`"parse.shard"`, parented under `parent`), a shard-latency histogram
-/// and outcome counters — including template-interner effectiveness
-/// (`parse.templates_interned` vs `parse.template_cache_hits`) and
-/// parse-cache effectiveness (`parse.cache_hits` / `parse.cache_misses` /
-/// `parse.cache_fallbacks`) — land in `rec`. Records and statistics are
-/// identical to the untraced call, and identical whether or not the parse
-/// cache is enabled.
-pub fn parse_view_traced(
-    view: &LogView<'_>,
-    store: &TemplateStore,
-    options: &ParseOptions,
-    threads: usize,
-    rec: &Recorder,
+    config: &PipelineConfig,
     parent: Option<SpanId>,
 ) -> ParsedLog {
+    let rec = &config.recorder;
+    let limits = config.parse_limits();
     let n = view.len();
-    let threads = resolve_threads(threads).min(n.max(1));
+    let threads = resolve_threads(config.parallelism).min(n.max(1));
     let preexisting = store.len();
 
     let chunk = n.div_ceil(threads).max(1);
@@ -308,7 +267,7 @@ pub fn parse_view_traced(
         |r| {
             let fault = fault::armed("parse");
             let mut memo: FnvHashMap<Fingerprint, TemplateId> = FnvHashMap::default();
-            let mut cache = options.cache.then(ShapeCache::default);
+            let mut cache = config.parse_cache.then(ShapeCache::default);
             let outcomes = r
                 .map(|i| {
                     let sql = &view.entry(i).statement;
@@ -317,7 +276,7 @@ pub fn parse_view_traced(
                         cache.as_mut(),
                         store,
                         &mut memo,
-                        options,
+                        &limits,
                         view,
                         i as u32,
                         sql,
@@ -341,7 +300,7 @@ pub fn parse_view_traced(
             // one.
             let fault = fault::armed("parse");
             let mut memo: FnvHashMap<Fingerprint, TemplateId> = FnvHashMap::default();
-            let mut cache = options.cache.then(ShapeCache::default);
+            let mut cache = config.parse_cache.then(ShapeCache::default);
             let outcomes = r
                 .map(|i| {
                     let sql = &view.entry(i).statement;
@@ -351,7 +310,7 @@ pub fn parse_view_traced(
                             cache.as_mut(),
                             store,
                             &mut memo,
-                            options,
+                            &limits,
                             view,
                             i as u32,
                             sql,
@@ -375,7 +334,7 @@ pub fn parse_view_traced(
         ..ParseStats::default()
     };
     let mut cache_stats = ParseCacheStats {
-        enabled: options.cache,
+        enabled: config.parse_cache,
         ..ParseCacheStats::default()
     };
     let mut records = Vec::with_capacity(n);
@@ -441,22 +400,16 @@ fn parse_one_maybe_cached(
     cache: Option<&mut ShapeCache>,
     store: &TemplateStore,
     memo: &mut FnvHashMap<Fingerprint, TemplateId>,
-    options: &ParseOptions,
+    limits: &ParseLimits,
     view: &LogView<'_>,
     entry_idx: u32,
     sql: &str,
 ) -> Outcome {
     match cache {
-        Some(c) => c.parse_one_cached(
-            store,
-            memo,
-            &options.limits,
-            options.crosscheck,
-            entry_idx,
-            sql,
-            &|i| view.entry(i as usize).statement.as_str(),
-        ),
-        None => parse_one(store, memo, &options.limits, entry_idx, sql),
+        Some(c) => c.parse_one_cached(store, memo, limits, entry_idx, sql, &|i| {
+            view.entry(i as usize).statement.as_str()
+        }),
+        None => parse_one(store, memo, limits, entry_idx, sql),
     }
 }
 
@@ -471,18 +424,18 @@ fn tally(cache: ShapeCache) -> ParseCacheStats {
     }
 }
 
-/// Parses a pre-cleaned log into records, interning templates in `store`.
-///
-/// Compatibility wrapper around [`parse_view`] for owned logs.
-/// `threads == 0` uses one thread per available core.
-pub fn parse_log(log: &QueryLog, store: &TemplateStore, threads: usize) -> ParsedLog {
-    parse_view(&LogView::identity(log), store, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sqlog_log::{LogEntry, Timestamp};
+    use sqlog_log::{LogEntry, QueryLog, Timestamp};
+
+    fn parse(log: &QueryLog, store: &TemplateStore, threads: usize) -> ParsedLog {
+        let config = PipelineConfig {
+            parallelism: threads,
+            ..PipelineConfig::default()
+        };
+        parse_stage(&LogView::identity(log), store, &config, None)
+    }
 
     fn log(statements: &[&str]) -> QueryLog {
         QueryLog::from_entries(
@@ -506,7 +459,7 @@ mod tests {
             "SELECT a FROM t WHERE x = 2",
         ]);
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
+        let parsed = parse(&log, &store, 1);
         assert_eq!(parsed.stats.total, 5);
         assert_eq!(parsed.stats.selects, 2);
         assert_eq!(parsed.stats.errors, 1);
@@ -528,10 +481,10 @@ mod tests {
         let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
         let log = log(&refs);
         let store1 = TemplateStore::new();
-        let seq = parse_log(&log, &store1, 1);
+        let seq = parse(&log, &store1, 1);
         for threads in [2, 3, 8] {
             let store2 = TemplateStore::new();
-            let par = parse_log(&log, &store2, threads);
+            let par = parse(&log, &store2, threads);
             assert_eq!(seq.stats, par.stats);
             // Canonical renumbering makes the ids — not just the
             // fingerprints — identical across thread counts.
@@ -553,7 +506,7 @@ mod tests {
         let refs: Vec<&str> = statements.iter().map(String::as_str).collect();
         let log = log(&refs);
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 8);
+        let parsed = parse(&log, &store, 8);
         let mut seen_max = 0u32;
         for rec in &parsed.records {
             assert!(
@@ -570,7 +523,7 @@ mod tests {
     fn batch_rows_use_first_select() {
         let log = log(&["INSERT INTO t VALUES (1); SELECT a FROM t WHERE x = 1"]);
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
+        let parsed = parse(&log, &store, 1);
         assert_eq!(parsed.stats.selects, 1);
         assert_eq!(parsed.records[0].primary_table.as_deref(), Some("t"));
     }
@@ -578,7 +531,7 @@ mod tests {
     #[test]
     fn empty_log_is_fine() {
         let store = TemplateStore::new();
-        let parsed = parse_log(&QueryLog::new(), &store, 4);
+        let parsed = parse(&QueryLog::new(), &store, 4);
         assert_eq!(parsed.stats.total, 0);
         assert!(parsed.records.is_empty());
     }

@@ -16,14 +16,14 @@
 //! for what each stage does.
 
 use crate::config::PipelineConfig;
-use crate::dedup::{dedup_view_traced, DedupStats};
+use crate::dedup::{dedup_stage, DedupStats};
 use crate::detect::{
     detect_builtin, sort_instances, AntipatternClass, AntipatternInstance, DetectCtx,
 };
 use crate::ext::ExtensionRegistry;
 use crate::fault;
-use crate::mine::{build_sessions_view_traced, mine_patterns_traced, MinedPatterns, Sessions};
-use crate::parse_step::{parse_view_traced, ParsedLog, ParsedRecord};
+use crate::mine::{mine_stage, sessions_stage, MinedPatterns, Sessions};
+use crate::parse_step::{parse_stage, ParsedLog, ParsedRecord};
 use crate::shard::{
     balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
 };
@@ -200,14 +200,7 @@ impl<'a> Pipeline<'a> {
         let rec = &self.config.recorder;
         rec.stage_begin("dedup", input.len() as u64);
         let span = rec.span("dedup");
-        dedup_view_traced(
-            input,
-            self.config.duplicate_threshold_ms,
-            resolve_threads(self.config.parallelism),
-            self.config.dedup_prefilter,
-            rec,
-            span.id(),
-        )
+        dedup_stage(input, &self.config, span.id())
     }
 
     /// Stage operator 2: parse statements (§5.3); template ids are
@@ -218,14 +211,7 @@ impl<'a> Pipeline<'a> {
         let rec = &self.config.recorder;
         rec.stage_begin("parse", pre_clean.len() as u64);
         let span = rec.span("parse");
-        parse_view_traced(
-            pre_clean,
-            store,
-            &self.config.parse_options(),
-            resolve_threads(self.config.parallelism),
-            rec,
-            span.id(),
-        )
+        parse_stage(pre_clean, store, &self.config, span.id())
     }
 
     /// Stage operator 3a: per-user sessions (§4.1, Def. 7).
@@ -233,14 +219,7 @@ impl<'a> Pipeline<'a> {
         let rec = &self.config.recorder;
         rec.stage_begin("sessions", records.len() as u64);
         let span = rec.span("sessions");
-        build_sessions_view_traced(
-            pre_clean,
-            records,
-            self.config.session_gap_ms,
-            resolve_threads(self.config.parallelism),
-            rec,
-            span.id(),
-        )
+        sessions_stage(pre_clean, records, &self.config, span.id())
     }
 
     /// Stage operator 3b: pattern mining (Defs. 8–10).
@@ -257,14 +236,7 @@ impl<'a> Pipeline<'a> {
             rec.stage_begin("mine", total);
         }
         let span = rec.span("mine");
-        mine_patterns_traced(
-            sessions,
-            records,
-            &self.config,
-            resolve_threads(self.config.parallelism),
-            rec,
-            span.id(),
-        )
+        mine_stage(sessions, records, &self.config, span.id())
     }
 
     /// Stage operator 4: antipattern detection (Defs. 11–16 + extensions),

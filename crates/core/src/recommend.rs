@@ -6,7 +6,7 @@
 //! > log. We then would like to do the same with the cleaned log."
 //!
 //! This module implements that study: a first-order Markov recommender over
-//! template transitions (the simplest member of the QueRIE [6] family), plus
+//! template transitions (the simplest member of the QueRIE \[6\] family), plus
 //! the evaluation that measures how often its suggestions are antipattern
 //! templates. Trained on the raw log, the recommender eagerly proposes
 //! stifle follow-ups; trained on the cleaned log, it cannot — the training
@@ -127,10 +127,10 @@ pub fn evaluate_against_marks(
 mod tests {
     use super::*;
     use crate::config::PipelineConfig;
-    use crate::mine::build_sessions;
-    use crate::parse_step::parse_log;
+    use crate::mine::sessions_stage;
+    use crate::parse_step::parse_stage;
     use crate::store::TemplateStore;
-    use sqlog_log::{LogEntry, QueryLog, Timestamp};
+    use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
 
     fn setup(rows: &[&str]) -> (Recommender, Vec<TemplateId>) {
         let log = QueryLog::from_entries(
@@ -142,9 +142,10 @@ mod tests {
                 .collect(),
         );
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let cfg = PipelineConfig::default();
-        let sessions = build_sessions(&log, &parsed.records, cfg.session_gap_ms);
+        let config = PipelineConfig::default();
+        let view = LogView::identity(&log);
+        let parsed = parse_stage(&view, &store, &config, None);
+        let sessions = sessions_stage(&view, &parsed.records, &config, None);
         let templates = parsed.records.iter().map(|r| r.template).collect();
         (Recommender::train(&sessions, &parsed.records), templates)
     }

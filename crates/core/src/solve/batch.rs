@@ -15,7 +15,7 @@
 //!    shape with the literals in the same slots;
 //! 2. the first statement of a shape is parsed in full and **certified**:
 //!    its own span texts are substituted back into a clone of its AST (in
-//!    [`walk_query`] order) and the result must equal the original. With
+//!    `walk_query` order) and the result must equal the original. With
 //!    pairwise-distinct span texts this proves the mutable walker visits the
 //!    literal slots in statement order, so the certified template can be
 //!    instantiated for *any* statement of the shape;
@@ -648,6 +648,22 @@ mod tests {
             .query("SELECT b FROM other WHERE y = 'z'", &rec)
             .unwrap();
         assert_eq!(rec.counters().get("solve.batched_templates"), Some(&2));
+    }
+
+    #[test]
+    fn generated_log_selects_match_the_direct_parse() {
+        // The batch cache is the solver's only parse path; the direct parse
+        // stays its reference on a whole generated workload.
+        let log = sqlog_gen::generate(&sqlog_gen::GenConfig::with_scale(4_000, 4242));
+        let cache = QueryCache::default();
+        let mut selects = 0usize;
+        for e in &log.entries {
+            if parse_select(&e.statement).is_some() {
+                selects += 1;
+                assert_batched_matches_direct(&cache, &e.statement);
+            }
+        }
+        assert!(selects > 3_000, "only {selects} SELECTs generated");
     }
 
     #[test]

@@ -64,8 +64,8 @@ mod tests {
     use crate::config::PipelineConfig;
     use crate::detect::snc::SncDetector;
     use crate::detect::{DetectCtx, Detector};
-    use crate::mine::build_sessions;
-    use crate::parse_step::parse_log;
+    use crate::mine::sessions_stage;
+    use crate::parse_step::parse_stage;
     use crate::store::TemplateStore;
     use sqlog_catalog::skyserver_catalog;
     use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
@@ -75,11 +75,11 @@ mod tests {
             LogEntry::minimal(0, sql, Timestamp::from_secs(0)).with_user("u")
         ]);
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 300_000);
-        let catalog = skyserver_catalog();
         let config = PipelineConfig::default();
         let view = LogView::identity(&log);
+        let parsed = parse_stage(&view, &store, &config, None);
+        let sessions = sessions_stage(&view, &parsed.records, &config, None);
+        let catalog = skyserver_catalog();
         let ctx = DetectCtx {
             log: &view,
             records: &parsed.records,

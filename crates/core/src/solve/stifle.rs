@@ -10,7 +10,7 @@
 
 use crate::detect::{AntipatternClass, AntipatternInstance, DetectCtx};
 use crate::ext::Solver;
-use crate::solve::batch::{parse_select, QueryCache};
+use crate::solve::batch::QueryCache;
 use sqlog_skeleton::FnvHashSet;
 use sqlog_sql::ast::*;
 
@@ -25,16 +25,11 @@ pub struct StifleSolver {
 }
 
 impl StifleSolver {
-    /// Parses the statement behind record `ri` and returns its query,
-    /// through the batch cache when [`crate::PipelineConfig::solve_batching`]
-    /// is on.
+    /// Parses the statement behind record `ri` through the batch cache and
+    /// returns its query.
     fn query_of(&self, ctx: &DetectCtx<'_>, ri: usize) -> Option<Query> {
         let entry = ctx.record_entry(ri);
-        if ctx.config.solve_batching {
-            self.cache.query(&entry.statement, &ctx.config.recorder)
-        } else {
-            parse_select(&entry.statement)
-        }
+        self.cache.query(&entry.statement, &ctx.config.recorder)
     }
 }
 
@@ -266,8 +261,8 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::detect::{detect_builtin, DetectCtx};
-    use crate::mine::build_sessions;
-    use crate::parse_step::parse_log;
+    use crate::mine::sessions_stage;
+    use crate::parse_step::parse_stage;
     use crate::store::TemplateStore;
     use sqlog_catalog::skyserver_catalog;
     use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
@@ -282,46 +277,11 @@ mod tests {
                 .collect(),
         );
         let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 300_000);
-        let catalog = skyserver_catalog();
         let config = PipelineConfig::default();
         let view = LogView::identity(&log);
-        let ctx = DetectCtx {
-            log: &view,
-            records: &parsed.records,
-            sessions: &sessions.sessions,
-            store: &store,
-            catalog: &catalog,
-            config: &config,
-        };
-        let solver = StifleSolver::default();
-        detect_builtin(&ctx)
-            .iter()
-            .filter(|i| i.solvable)
-            .filter_map(|i| solver.solve(i, &ctx))
-            .collect()
-    }
-
-    /// Same harness with `solve_batching` off: the unbatched reference path.
-    fn solve_unbatched(rows: &[&str]) -> Vec<Vec<String>> {
-        let log = QueryLog::from_entries(
-            rows.iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    LogEntry::minimal(i as u64, *s, Timestamp::from_secs(i as i64)).with_user("u")
-                })
-                .collect(),
-        );
-        let store = TemplateStore::new();
-        let parsed = parse_log(&log, &store, 1);
-        let sessions = build_sessions(&log, &parsed.records, 300_000);
+        let parsed = parse_stage(&view, &store, &config, None);
+        let sessions = sessions_stage(&view, &parsed.records, &config, None);
         let catalog = skyserver_catalog();
-        let config = PipelineConfig {
-            solve_batching: false,
-            ..PipelineConfig::default()
-        };
-        let view = LogView::identity(&log);
         let ctx = DetectCtx {
             log: &view,
             records: &parsed.records,
@@ -420,23 +380,6 @@ mod tests {
                     .unwrap_or_else(|e| panic!("rewrite does not re-parse: {stmt}: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn batched_and_unbatched_rewrites_are_identical() {
-        // Mixed DW / DS / DF material, shapes repeating across instances —
-        // the batch cache must be invisible in the output.
-        let rows = &[
-            "SELECT name FROM Employee WHERE empId = 8",
-            "SELECT name FROM Employee WHERE empId = 1",
-            "SELECT name FROM Employee WHERE empId = 8",
-            "SELECT description FROM DBObjects WHERE name='Galaxy'",
-            "SELECT description FROM DBObjects WHERE name='it''s'",
-            "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=587722982829850000",
-            "SELECT rowc_g, colc_g FROM photoprimary WHERE objid=587722982829850001",
-            "SELECT ra, dec FROM photoprimary WHERE objid=587722982829850001",
-        ];
-        assert_eq!(solve(rows), solve_unbatched(rows));
     }
 
     #[test]

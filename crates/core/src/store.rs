@@ -221,7 +221,8 @@ mod tests {
         // The parse cache memoizes per worker but every cache miss still
         // goes through the store; a lock poisoned by an earlier panic must
         // not change what a cache-enabled parse produces.
-        use crate::parse_step::{parse_view_traced, ParseOptions};
+        use crate::config::PipelineConfig;
+        use crate::parse_step::parse_stage;
         use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
 
         let log = QueryLog::from_entries(
@@ -237,14 +238,15 @@ mod tests {
                 .collect(),
         );
         let view = LogView::identity(&log);
-        let options = ParseOptions {
-            cache: true,
-            ..ParseOptions::default()
+        let config = PipelineConfig {
+            parallelism: 2,
+            parse_cache: true,
+            ..PipelineConfig::default()
         };
 
         // Reference: a healthy store.
         let healthy = TemplateStore::new();
-        let expected = parse_view_traced(&view, &healthy, &options, 2, &Recorder::disabled(), None);
+        let expected = parse_stage(&view, &healthy, &config, None);
 
         // Poison the lock (renumber's permutation assert fires while the
         // write guard is held), then parse with the cache enabled.
@@ -255,7 +257,11 @@ mod tests {
         }));
         assert!(poisoning.is_err(), "renumber must reject a bad order");
 
-        let got = parse_view_traced(&view, &store, &options, 2, &rec, None);
+        let traced = PipelineConfig {
+            recorder: rec.clone(),
+            ..config
+        };
+        let got = parse_stage(&view, &store, &traced, None);
         assert!(got.cache.enabled, "cache must be on for this test");
         assert!(
             got.cache.hits > 0,

@@ -121,41 +121,3 @@ fn pipeline_outputs_from_segmented_ingest_are_byte_identical() {
         }
     }
 }
-
-#[test]
-fn dedup_prefilter_and_solve_batching_are_invisible_in_the_output() {
-    // The two new fast paths are pure optimizations: toggling them must not
-    // change any pipeline output.
-    let log = generate(&GenConfig::with_scale(4_000, 4242));
-    let catalog = skyserver_catalog();
-    let run = |prefilter: bool, batching: bool, threads: usize| {
-        let cfg = PipelineConfig {
-            parallelism: threads,
-            dedup_prefilter: prefilter,
-            solve_batching: batching,
-            ..PipelineConfig::default()
-        };
-        Pipeline::new(&catalog).with_config(cfg).run(&log)
-    };
-    let reference = run(false, false, 1);
-    for threads in [1usize, 8] {
-        for prefilter in [false, true] {
-            for batching in [false, true] {
-                let result = run(prefilter, batching, threads);
-                let label =
-                    format!("threads={threads}, prefilter={prefilter}, batching={batching}");
-                assert_eq!(
-                    result.stats.with_zeroed_timings(),
-                    reference.stats.with_zeroed_timings(),
-                    "stats differ: {label}"
-                );
-                assert_eq!(result.clean_log, reference.clean_log, "clean: {label}");
-                assert_eq!(
-                    result.removal_log, reference.removal_log,
-                    "removal: {label}"
-                );
-                assert_eq!(result.instances, reference.instances, "instances: {label}");
-            }
-        }
-    }
-}

@@ -9,10 +9,9 @@
 //! take the full-parse path — same records, same pipeline bytes, cache on
 //! or off.
 
-use sqlog_catalog::skyserver_catalog;
-use sqlog_core::{parse_view_traced, ParseOptions, Pipeline, PipelineConfig, TemplateStore};
+use sqlog_catalog::{skyserver_catalog, Catalog};
+use sqlog_core::{Pipeline, PipelineConfig, TemplateStore};
 use sqlog_log::{write_log, LogEntry, LogView, QueryLog, Timestamp};
-use sqlog_obs::Recorder;
 use sqlog_skeleton::{raw_shape_scan, QueryTemplate};
 use sqlog_sql::parse_query;
 
@@ -29,18 +28,13 @@ fn log_of(statements: &[&str]) -> QueryLog {
 }
 
 fn parse_with_cache(log: &QueryLog, cache: bool) -> (String, sqlog_core::ParseCacheStats) {
-    let store = TemplateStore::new();
-    let parsed = parse_view_traced(
-        &LogView::identity(log),
-        &store,
-        &ParseOptions {
-            cache,
-            ..ParseOptions::default()
-        },
-        1,
-        &Recorder::disabled(),
-        None,
-    );
+    let catalog = Catalog::new();
+    let pipeline = Pipeline::new(&catalog).with_config(PipelineConfig {
+        parse_cache: cache,
+        parallelism: 1,
+        ..PipelineConfig::default()
+    });
+    let parsed = pipeline.op_parse(&LogView::identity(log), &TemplateStore::new());
     (format!("{:?}", parsed.records), parsed.cache)
 }
 

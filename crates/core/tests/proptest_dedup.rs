@@ -1,8 +1,20 @@
 //! Property tests for duplicate deletion (§5.2).
 
 use proptest::prelude::*;
-use sqlog_core::dedup;
-use sqlog_log::{LogEntry, QueryLog, Timestamp};
+use sqlog_catalog::Catalog;
+use sqlog_core::{DedupStats, Pipeline, PipelineConfig};
+use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
+
+fn dedup(log: &QueryLog, threshold_ms: Option<u64>) -> (QueryLog, DedupStats) {
+    let catalog = Catalog::new();
+    let pipeline = Pipeline::new(&catalog).with_config(PipelineConfig {
+        duplicate_threshold_ms: threshold_ms,
+        parallelism: 1,
+        ..PipelineConfig::default()
+    });
+    let (kept, stats) = pipeline.op_dedup(&LogView::identity(log));
+    (kept.to_log(), stats)
+}
 
 fn log_strategy() -> impl Strategy<Value = QueryLog> {
     // Few distinct statements and users, bursty times: a dedup stress mix.

@@ -48,6 +48,16 @@ pub struct ExecResult {
     pub used_index: bool,
 }
 
+/// Does a column qualifier name the FROM-clause source bound as `binding`?
+///
+/// SQL Server's rule: an aliased source answers only to its alias — the
+/// base-table name it hides is unbound — and an unaliased one to its table
+/// name, ASCII case-insensitively. Every qualifier match in the planner and
+/// both executors goes through this one function.
+pub(crate) fn binds(binding: &str, qualifier: &str) -> bool {
+    binding.eq_ignore_ascii_case(qualifier)
+}
+
 /// One bound source in the FROM clause.
 pub(crate) struct Source<'a> {
     /// Binding name: alias if given, else the table name.
@@ -72,9 +82,7 @@ impl RowCtxView<'_, '_> {
         let col = name.last().normalized();
         if let Some(qualifier) = name.qualifier().last() {
             for (si, s) in self.sources.iter().enumerate() {
-                if s.binding.eq_ignore_ascii_case(&qualifier.value)
-                    || s.table.name.eq_ignore_ascii_case(&qualifier.value)
-                {
+                if binds(&s.binding, &qualifier.value) {
                     let c = s
                         .table
                         .column(&col)
@@ -431,9 +439,7 @@ fn find_range_probe(selection: &Expr, sources: &[Source<'_>]) -> Option<RangePro
         sources
             .iter()
             .position(|s| {
-                qualifier
-                    .as_deref()
-                    .is_none_or(|q| s.binding.eq_ignore_ascii_case(q) || s.table.name == q)
+                qualifier.as_deref().is_none_or(|q| binds(&s.binding, q))
                     && s.table.range_indexes.contains_key(&col)
             })
             .map(|si| (si, col))
@@ -554,9 +560,7 @@ fn find_probe(selection: &Expr, sources: &[Source<'_>]) -> Option<Probe> {
         let col = name.last().normalized();
         let qualifier = name.qualifier().last().map(|q| q.normalized());
         for s in sources {
-            let matches_binding = qualifier
-                .as_deref()
-                .is_none_or(|q| s.binding.eq_ignore_ascii_case(q) || s.table.name == q);
+            let matches_binding = qualifier.as_deref().is_none_or(|q| binds(&s.binding, q));
             if matches_binding && s.table.indexes.contains_key(&col) {
                 return Some(Probe {
                     binding: s.binding.clone(),
@@ -861,9 +865,11 @@ pub(crate) fn finish_rows(
                 }
                 SelectItem::QualifiedWildcard(q) => {
                     let binding = q.last().normalized();
-                    let Some((si, s)) = sources.iter().enumerate().find(|(_, s)| {
-                        s.binding.eq_ignore_ascii_case(&binding) || s.table.name == binding
-                    }) else {
+                    let Some((si, s)) = sources
+                        .iter()
+                        .enumerate()
+                        .find(|(_, s)| binds(&s.binding, &binding))
+                    else {
                         return Err(ExecError::UnknownTable(binding));
                     };
                     for c in &s.table.columns {
@@ -962,15 +968,10 @@ fn find_equi_join(predicate: &Expr, sources: &[Source<'_>]) -> Option<(String, S
                 // Either orientation; want (left source column, right source column).
                 let qa = a.qualifier().last().map(|q| q.normalized());
                 let qb = b.qualifier().last().map(|q| q.normalized());
-                let is_left = |q: &Option<String>| {
-                    q.as_deref().is_none_or(|q| {
-                        sources[0].binding.eq_ignore_ascii_case(q) || sources[0].table.name == q
-                    })
-                };
+                let is_left =
+                    |q: &Option<String>| q.as_deref().is_none_or(|q| binds(&sources[0].binding, q));
                 let is_right = |q: &Option<String>| {
-                    q.as_deref().is_some_and(|q| {
-                        sources[1].binding.eq_ignore_ascii_case(q) || sources[1].table.name == q
-                    })
+                    q.as_deref().is_some_and(|q| binds(&sources[1].binding, q))
                 };
                 if is_left(&qa) && is_right(&qb) && sources[1].table.indexes.contains_key(&cb) {
                     return Some((ca, cb));

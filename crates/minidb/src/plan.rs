@@ -469,12 +469,9 @@ struct PlanSource<'a> {
 
 impl PlanSource<'_> {
     /// Does an (optionally qualified) column reference bind to this source?
-    /// Mirrors the executor's resolution: alias or table name, ASCII
-    /// case-insensitive.
+    /// The executors' rule ([`crate::exec::binds`]).
     fn binds(&self, qualifier: Option<&str>) -> bool {
-        qualifier.is_none_or(|q| {
-            self.binding.eq_ignore_ascii_case(q) || self.table_name.eq_ignore_ascii_case(q)
-        })
+        qualifier.is_none_or(|q| crate::exec::binds(&self.binding, q))
     }
 }
 

@@ -12,6 +12,7 @@ use sqlog_catalog::skyserver_catalog;
 use sqlog_core::Pipeline;
 use sqlog_gen::{generate, GenConfig};
 use sqlog_minidb::datagen::skyserver_db;
+use sqlog_minidb::table::{ColumnData, Table};
 use sqlog_minidb::{ExecError, ExecResult, MiniDb};
 use sqlog_sql::ast::Query;
 
@@ -120,4 +121,29 @@ fn planned_executor_matches_naive_reference_on_solver_rewrites() {
         }
     }
     assert!(executed > 0, "no corpus statement executed on both paths");
+}
+
+#[test]
+fn aliased_self_join_hides_the_base_table_name() {
+    // SQL Server's rule: once `t` is aliased, `t.id` names no source. Both
+    // executors must reject it rather than bind it to one (or both) of the
+    // aliases, while the aliases themselves still resolve.
+    let mut t = Table::new("t");
+    t.add_column("id", ColumnData::Int(vec![Some(1), Some(2), Some(3)]));
+    t.add_column("g", ColumnData::Int(vec![Some(7), Some(7), Some(8)]));
+    t.build_pk("id");
+    let mut db = MiniDb::new();
+    db.add_table(t);
+
+    let hidden =
+        parse_select("SELECT a.id, b.id FROM t AS a JOIN t AS b ON a.g = b.g WHERE t.id = 1")
+            .unwrap();
+    let unbound = ExecError::UnknownColumn("t.id".into());
+    assert_eq!(db.execute_query_naive(&hidden).unwrap_err(), unbound);
+    assert_eq!(db.execute_query_planned(&hidden).unwrap_err(), unbound);
+
+    let aliased = "SELECT a.id, b.id FROM t AS a JOIN t AS b ON a.g = b.g WHERE A.id = 1";
+    assert!(assert_paths_agree(&db, aliased));
+    let rows = db.execute_query(&parse_select(aliased).unwrap()).unwrap();
+    assert_eq!(rows.rows.len(), 2, "a.id = 1 pairs with both g = 7 rows");
 }

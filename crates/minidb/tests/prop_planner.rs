@@ -9,7 +9,9 @@
 //! 2. the cost estimate is monotone in row count — duplicating every row
 //!    never makes the estimate smaller;
 //! 3. the planned executor returns exactly the naive reference executor's
-//!    rows (order-normalized), or both paths reject the statement.
+//!    rows (order-normalized), or both paths reject the statement — on
+//!    single-table queries and on aliased self-joins whose columns are
+//!    qualified by an alias, by the hidden base-table name, or not at all.
 
 use proptest::prelude::*;
 use sqlog_minidb::{Access, ColumnData, MiniDb, Table};
@@ -76,6 +78,63 @@ fn pred_strategy() -> impl Strategy<Value = String> {
                 _ => format!("{c} > {a}"),
             }
         })
+}
+
+/// A column of `t AS a JOIN t AS b`: qualified by either alias, by the
+/// base-table name the aliases hide (unbound under SQL Server's rule), or
+/// unqualified.
+fn self_join_column() -> impl Strategy<Value = String> {
+    (
+        prop_oneof![Just("a."), Just("b."), Just("t."), Just("")],
+        prop_oneof![Just("k"), Just("h"), Just("v")],
+    )
+        .prop_map(|(q, c)| format!("{q}{c}"))
+}
+
+/// An aliased self-join with a random join key pair, projection and
+/// point / IN / range filter.
+fn self_join_strategy() -> impl Strategy<Value = String> {
+    (
+        prop_oneof![Just("k"), Just("h")],
+        prop_oneof![Just("k"), Just("h")],
+        self_join_column(),
+        self_join_column(),
+        -10i64..210,
+        0u8..3,
+    )
+        .prop_map(|(l, r, proj, filter, a, op)| {
+            let pred = match op {
+                0 => format!("{filter} = {a}"),
+                1 => format!("{filter} IN ({a}, {})", a + 1),
+                _ => format!("{filter} > {a}"),
+            };
+            format!("SELECT {proj}, b.v FROM t AS a JOIN t AS b ON a.{l} = b.{r} WHERE {pred}")
+        })
+}
+
+/// Both executors return the same rows (order-normalized), or both reject.
+fn assert_paths_agree(db: &MiniDb, sql: &str) -> Result<(), TestCaseError> {
+    let query = parse(sql);
+    match (db.execute_query(&query), db.execute_query_naive(&query)) {
+        (Ok(planned), Ok(naive)) => {
+            prop_assert_eq!(&planned.columns, &naive.columns);
+            let sort = |r: &sqlog_minidb::ExecResult| {
+                let mut keys: Vec<String> = r.rows.iter().map(|row| format!("{row:?}")).collect();
+                keys.sort();
+                keys
+            };
+            prop_assert_eq!(sort(&planned), sort(&naive), "rows diverge on {}", sql);
+        }
+        (Err(_), Err(_)) => {}
+        (p, n) => prop_assert!(
+            false,
+            "one path rejected {}: planned ok={} naive ok={}",
+            sql,
+            p.is_ok(),
+            n.is_ok()
+        ),
+    }
+    Ok(())
 }
 
 fn parse(sql: &str) -> Query {
@@ -147,25 +206,18 @@ proptest! {
         pred in pred_strategy(),
     ) {
         let db = build_db(&rows, k_index, h_range, 1);
-        let sql = format!("SELECT k, h, v FROM t WHERE {pred}");
-        let query = parse(&sql);
-        match (db.execute_query(&query), db.execute_query_naive(&query)) {
-            (Ok(planned), Ok(naive)) => {
-                prop_assert_eq!(&planned.columns, &naive.columns);
-                let sort = |r: &sqlog_minidb::ExecResult| {
-                    let mut keys: Vec<String> =
-                        r.rows.iter().map(|row| format!("{row:?}")).collect();
-                    keys.sort();
-                    keys
-                };
-                prop_assert_eq!(sort(&planned), sort(&naive), "rows diverge on {}", sql);
-            }
-            (Err(_), Err(_)) => {}
-            (p, n) => prop_assert!(
-                false,
-                "one path rejected {}: planned ok={} naive ok={}",
-                sql, p.is_ok(), n.is_ok()
-            ),
-        }
+        assert_paths_agree(&db, &format!("SELECT k, h, v FROM t WHERE {pred}"))?;
+    }
+
+    /// The same agreement on aliased self-joins, whatever the qualifiers.
+    #[test]
+    fn self_join_rows_match_naive_reference(
+        rows in rows_strategy(),
+        k_index in k_index_strategy(),
+        h_range in any::<bool>(),
+        sql in self_join_strategy(),
+    ) {
+        let db = build_db(&rows, k_index, h_range, 1);
+        assert_paths_agree(&db, &sql)?;
     }
 }

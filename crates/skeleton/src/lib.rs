@@ -30,7 +30,7 @@ pub mod skeleton;
 pub mod template;
 
 pub use fingerprint::{Fingerprint, Fnv1a, FnvBuildHasher, FnvHashMap, FnvHashSet, FnvHasher};
-pub use normalize::{dedup_shape_scan, normalize_sql_text, text_fingerprint};
+pub use normalize::{normalize_sql_text, text_fingerprint};
 pub use predicate::{
     base_tables, primary_table, OutputColumns, PredicateKind, PredicateProfile, Theta, ValueKind,
 };

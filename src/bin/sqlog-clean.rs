@@ -10,7 +10,7 @@
 //!             [--run-dir DIR | --resume DIR]
 //!             [--threshold-ms N | --threshold-unrestricted]
 //!             [--session-gap-ms N] [--no-key-axiom] [--parallelism N] [--top K]
-//!             [--no-parse-cache] [--no-dedup-prefilter] [--no-solve-batching]
+//!             [--no-parse-cache]
 //!             [--lenient] [--quarantine BAD.tsv]
 //!             [--trace-events EVENTS.ndjson] [--stats-json STATS.json]
 //! ```
@@ -106,7 +106,7 @@ const USAGE: &str = "usage: sqlog-clean --in LOG.tsv [--out CLEAN.tsv] [--remova
     [--schema SCHEMA.txt] [--run-dir DIR | --resume DIR]\n\
     [--threshold-ms N | --threshold-unrestricted]\n\
     [--session-gap-ms N] [--no-key-axiom] [--parallelism N] [--top K]\n\
-    [--no-parse-cache] [--no-dedup-prefilter] [--no-solve-batching]\n\
+    [--no-parse-cache]\n\
     [--lenient] [--quarantine BAD.tsv]\n\
     [--trace-events EVENTS.ndjson] [--stats-json STATS.json]\n\
     [--progress] [--ledger DIR]\n\
@@ -166,8 +166,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad --top: {e}"))?;
             }
             "--no-parse-cache" => config.parse_cache = false,
-            "--no-dedup-prefilter" => config.dedup_prefilter = false,
-            "--no-solve-batching" => config.solve_batching = false,
             "--lenient" => lenient = true,
             "--quarantine" => quarantine = Some(value("--quarantine")?),
             "--trace-events" => trace_events = Some(value("--trace-events")?),
