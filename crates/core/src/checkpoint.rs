@@ -1,6 +1,8 @@
 //! Crash-safe checkpointed runs: the versioned run directory, per-stage
-//! checkpoints, and the resumable driver over the pipeline's stage
-//! operators.
+//! checkpoints, and the pipeline's one stage driver, which loads or stores
+//! a checkpoint around each stage operator when the run has a directory
+//! and does neither when it has none ([`run_file`]; [`Pipeline::run`] is
+//! the same driver over an in-memory log).
 //!
 //! A **run directory** (`sqlog-clean --run-dir DIR`) holds everything one
 //! cleaning run persists:
@@ -50,12 +52,13 @@ use crate::fault;
 use crate::mine::{MinedPatterns, PatternData, Session, Sessions};
 use crate::parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord};
 use crate::pipeline::{DetectOutput, Pipeline, PipelineResult};
-use crate::solve::ChosenRewrites;
+use crate::shard::resolve_threads;
+use crate::solve::{assemble_logs, ChosenRewrites};
 use crate::stats::StageTimings;
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_catalog::Catalog;
 use sqlog_log::{AtomicFile, IngestPolicy, IngestStats, LogView, QueryLog};
-use sqlog_obs::{Json, Recorder, SpanId};
+use sqlog_obs::{Json, Recorder};
 use sqlog_skeleton::{
     Fingerprint, Fnv1a, OutputColumns, PredicateKind, PredicateProfile, QueryTemplate, Theta,
     ValueKind,
@@ -962,16 +965,19 @@ fn read_checkpoint<T>(
 }
 
 // ---------------------------------------------------------------------------
-// The checkpointed driver
+// The stage driver
 
-/// Bookkeeping shared by every stage of the driver: which stages were
-/// loaded, what went wrong non-fatally, whether the checkpoint chain is
-/// still intact (once one stage re-runs, later checkpoints are stale and
-/// must not be loaded), and the time checkpointing cost.
-struct Progress<'a> {
-    dir: &'a RunDir,
+/// Bookkeeping shared by every stage of the driver: the run directory, if
+/// any; which stages were loaded; what went wrong non-fatally; whether the
+/// checkpoint chain is still intact (once one stage re-runs, later
+/// checkpoints are stale and must not be loaded); where the run stops; and
+/// the time checkpointing cost. Without a run directory nothing is loaded
+/// and storing is a no-op that never runs the encoder.
+pub(crate) struct Progress<'a> {
+    dir: Option<&'a RunDir>,
     rec: &'a Recorder,
     chain_intact: bool,
+    stop_after: Option<Stage>,
     loaded_stages: Vec<&'static str>,
     warnings: Vec<String>,
     /// Hashing the input, the manifest, and writing and loading
@@ -979,7 +985,26 @@ struct Progress<'a> {
     checkpoint_time: Duration,
 }
 
-impl Progress<'_> {
+impl<'a> Progress<'a> {
+    /// Only a resume consults checkpoints; a fresh run starts with the
+    /// chain already broken (`RunDir::create` cleared them anyway).
+    pub(crate) fn new(
+        dir: Option<&'a RunDir>,
+        rec: &'a Recorder,
+        resume: bool,
+        stop_after: Option<Stage>,
+    ) -> Self {
+        Progress {
+            dir,
+            rec,
+            chain_intact: resume && dir.is_some(),
+            stop_after,
+            loaded_stages: Vec::new(),
+            warnings: Vec::new(),
+            checkpoint_time: Duration::ZERO,
+        }
+    }
+
     /// Loads `stage`'s checkpoint while the chain is intact. Any failure
     /// breaks the chain: this stage and everything after it re-run.
     fn load<T>(
@@ -987,11 +1012,9 @@ impl Progress<'_> {
         stage: Stage,
         decode: impl FnOnce(&mut WireReader<'_>) -> Result<T, String>,
     ) -> Option<T> {
-        if !self.chain_intact {
-            return None;
-        }
+        let dir = self.dir.filter(|_| self.chain_intact)?;
         let t = Instant::now();
-        let loaded = read_checkpoint(self.dir, self.rec, stage, decode);
+        let loaded = read_checkpoint(dir, self.rec, stage, decode);
         self.checkpoint_time += t.elapsed();
         match loaded {
             Ok(Some(v)) => Some(v),
@@ -1006,10 +1029,11 @@ impl Progress<'_> {
         }
     }
 
-    /// Writes `stage`'s checkpoint.
+    /// Writes `stage`'s checkpoint, if the run has a directory.
     fn store(&mut self, stage: Stage, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), String> {
+        let Some(dir) = self.dir else { return Ok(()) };
         let t = Instant::now();
-        let written = write_checkpoint(self.dir, self.rec, stage, encode);
+        let written = write_checkpoint(dir, self.rec, stage, encode);
         self.checkpoint_time += t.elapsed();
         written
     }
@@ -1029,9 +1053,15 @@ impl Progress<'_> {
         self.warnings.push(msg);
         self.chain_intact = false;
     }
+
+    /// Whether the run ends (successfully) once `stage` is done.
+    fn stops_after(&self, stage: Stage) -> bool {
+        self.stop_after == Some(stage)
+    }
 }
 
-/// Loads a stage from its checkpoint or computes + checkpoints it.
+/// Loads a stage from its checkpoint or computes + checkpoints it, timing
+/// the computation into `stage_ms`.
 ///
 /// Not a method — the decode/compute closures need to borrow stage outputs
 /// the driver owns, which a `&mut self` method would lock away.
@@ -1049,9 +1079,192 @@ fn stage_step<T>(
     }
     let t = Instant::now();
     let v = compute();
-    *stage_ms = t.elapsed().as_millis() as u64;
+    *stage_ms = ms(t);
     progress.store(stage, |w| encode(&v, w))?;
     Ok(v)
+}
+
+fn ms(t: Instant) -> u64 {
+    t.elapsed().as_millis() as u64
+}
+
+/// The pipeline's stage sequence over an ingested log — sort → dedup →
+/// parse → sessions → mine → detect → solve → assemble — each stage loaded
+/// from its checkpoint or run through its operator and checkpointed (see
+/// [`Progress`]), and timed. `timings` arrives with the ingest column
+/// filled; `started` is when the run began, for `total_ms`. Returns
+/// `Ok(None)` when the run stops early.
+pub(crate) fn drive(
+    pipeline: &Pipeline<'_>,
+    log: &QueryLog,
+    progress: &mut Progress<'_>,
+    mut timings: StageTimings,
+    started: Instant,
+) -> Result<Option<PipelineResult>, String> {
+    let rec = &pipeline.config.recorder;
+    let mut pipeline_span = rec.span("pipeline");
+    pipeline_span.field(
+        "threads",
+        resolve_threads(pipeline.config.parallelism) as u64,
+    );
+    pipeline_span.field("input", log.len() as u64);
+    if rec.is_enabled() {
+        // Route the fault-injection arming into the event stream too —
+        // `fault::armed` already shouts on stderr, but machine consumers
+        // of the trace must not need to scrape stderr for it.
+        if let Some(desc) = fault::armed_description() {
+            rec.warning(desc);
+        }
+    }
+
+    // --- sort + dedup --- One step: the checkpoint stores the kept
+    // base-log indices, so a resume past dedup never needs the sort.
+    let (pre_clean, dedup_stats) = stage_step(
+        progress,
+        Stage::Dedup,
+        |r| {
+            let (kept, stats) = <(Vec<u32>, DedupStats)>::get(r)?;
+            check_bounds(kept.iter().map(|&i| i as usize), log.len(), "kept index")?;
+            if stats.kept != kept.len() {
+                return Err("kept count disagrees with index vector".to_string());
+            }
+            Ok((LogView::from_indices(log, kept), stats))
+        },
+        || {
+            let t = Instant::now();
+            let input = pipeline.op_sort(log);
+            timings.sort_ms = ms(t);
+            pipeline.op_dedup(&input)
+        },
+        |(view, stats), w| {
+            let kept: Vec<u32> = (0..view.len()).map(|i| view.base_index(i) as u32).collect();
+            kept.put(w);
+            stats.put(w);
+        },
+        &mut timings.dedup_ms,
+    )?;
+    // The sort ran inside the dedup step but has its own column.
+    timings.dedup_ms = timings.dedup_ms.saturating_sub(timings.sort_ms);
+    if progress.stops_after(Stage::Dedup) {
+        return Ok(None);
+    }
+
+    let (store, parsed) = stage_step(
+        progress,
+        Stage::Parse,
+        |r| get_parse(r, pre_clean.len(), rec),
+        || {
+            let store = TemplateStore::with_recorder(rec.clone());
+            let parsed = pipeline.op_parse(&pre_clean, &store);
+            (store, parsed)
+        },
+        |(store, parsed), w| put_parse(store, parsed, w),
+        &mut timings.parse_ms,
+    )?;
+    if progress.stops_after(Stage::Parse) {
+        return Ok(None);
+    }
+    let n_records = parsed.records.len();
+
+    let sessions = stage_step(
+        progress,
+        Stage::Sessions,
+        |r| {
+            let s = Sessions::get(r)?;
+            let sessions = &s.sessions;
+            check_bounds(
+                sessions.iter().map(|s| s.user as usize),
+                s.user_names.len(),
+                "session user id",
+            )?;
+            check_bounds(
+                sessions.iter().flat_map(|s| s.records.iter().copied()),
+                n_records,
+                "session record index",
+            )?;
+            Ok(s)
+        },
+        || pipeline.op_sessions(&pre_clean, &parsed.records),
+        |v, w| v.put(w),
+        &mut timings.sessions_ms,
+    )?;
+    if progress.stops_after(Stage::Sessions) {
+        return Ok(None);
+    }
+
+    let mined = stage_step(
+        progress,
+        Stage::Mine,
+        MinedPatterns::get,
+        || pipeline.op_mine(&sessions, &parsed.records),
+        |v, w| v.put(w),
+        &mut timings.mine_ms,
+    )?;
+    if progress.stops_after(Stage::Mine) {
+        return Ok(None);
+    }
+
+    let detected = stage_step(
+        progress,
+        Stage::Detect,
+        |r| {
+            let d = DetectOutput::get(r)?;
+            check_bounds(
+                d.instances.iter().flat_map(|i| i.records.iter().copied()),
+                n_records,
+                "instance record index",
+            )?;
+            Ok(d)
+        },
+        || pipeline.op_detect(&pre_clean, &parsed.records, &sessions, &store),
+        |v, w| v.put(w),
+        &mut timings.detect_ms,
+    )?;
+    if progress.stops_after(Stage::Detect) {
+        return Ok(None);
+    }
+
+    // --- solve --- The step yields the solvers' choices, computed or
+    // loaded; the clean and removal logs are assembled from them either
+    // way, under the one `solve` span.
+    let outcome = {
+        let _span = rec.span("solve");
+        let ctx = pipeline.solve_ctx(&pre_clean, &parsed.records, &sessions, &store);
+        let chosen = stage_step(
+            progress,
+            Stage::Solve,
+            |r| {
+                let chosen = ChosenRewrites::get(r)?;
+                chosen.consumed(&detected.instances, n_records)?;
+                Ok(chosen)
+            },
+            || pipeline.op_choose(&ctx, &detected),
+            |v, w| v.put(w),
+            &mut timings.solve_ms,
+        )?;
+        if progress.stops_after(Stage::Solve) {
+            return Ok(None);
+        }
+        let t = Instant::now();
+        let outcome = assemble_logs(&ctx, &detected.instances, chosen);
+        timings.solve_ms += ms(t);
+        outcome
+    };
+
+    timings.checkpoint_ms = progress.checkpoint_time.as_millis() as u64;
+    timings.total_ms = ms(started);
+    Ok(Some(pipeline.assemble(
+        log.len(),
+        &pre_clean,
+        &dedup_stats,
+        parsed,
+        &sessions,
+        mined,
+        detected,
+        outcome,
+        store,
+        timings,
+    )))
 }
 
 /// Validates (on `--resume`) or writes (fresh run) the manifest.
@@ -1120,34 +1333,29 @@ fn open_manifest(
     Ok(m)
 }
 
-/// Drives the pipeline's stage operators over a run directory: each stage
-/// is either loaded from its (validated) checkpoint or executed and
-/// checkpointed. Returns `Ok(None)` when [`CheckpointOptions::stop_after`]
-/// ended the run early; otherwise the completed [`CheckpointOutcome`].
+/// Runs the pipeline over the input file `opts.input`: reads it once
+/// under `opts.policy`, then drives every stage. With a run directory the
+/// run is checkpointed — the manifest is validated (`opts.resume`) or
+/// written, and each stage is either loaded from its (validated)
+/// checkpoint or executed and checkpointed. Without one, nothing is
+/// hashed, loaded or written, and `opts.resume` is ignored. Returns
+/// `Ok(None)` when [`CheckpointOptions::stop_after`] ended the run early;
+/// otherwise the completed [`CheckpointOutcome`].
 ///
 /// Fatal errors (unreadable input, manifest mismatch, unwritable run
 /// directory) are `Err`; a corrupted or torn checkpoint is *not* fatal —
 /// it is reported and the stage re-runs.
-pub fn run_checkpointed(
+pub fn run_file(
     pipeline: &Pipeline<'_>,
-    dir: &RunDir,
+    dir: Option<&RunDir>,
     opts: &CheckpointOptions,
 ) -> Result<Option<CheckpointOutcome>, String> {
-    let t_total = Instant::now();
-    let rec = pipeline.config.recorder.clone();
-    let manifest = open_manifest(pipeline, dir, opts)?;
-    let mut progress = Progress {
-        dir,
-        rec: &rec,
-        // Only a resume consults checkpoints; a fresh run starts with the
-        // chain already broken (RunDir::create cleared them anyway).
-        chain_intact: opts.resume,
-        loaded_stages: Vec::new(),
-        warnings: Vec::new(),
-        checkpoint_time: t_total.elapsed(),
-    };
+    let started = Instant::now();
+    let rec = &pipeline.config.recorder;
+    let manifest = dir.map(|d| open_manifest(pipeline, d, opts)).transpose()?;
+    let mut progress = Progress::new(dir, rec, opts.resume, opts.stop_after);
+    progress.checkpoint_time = started.elapsed();
     let mut timings = StageTimings::default();
-    let stop = |stage: Stage| opts.stop_after == Some(stage);
 
     // --- ingest --- The checkpoint holds only the ingest statistics: the
     // entries are always re-read from the input, whose length and hash the
@@ -1156,12 +1364,8 @@ pub fn run_checkpointed(
     // a checkpoint behind.
     let stored = progress.load(Stage::Ingest, IngestStats::get);
     let t = Instant::now();
-    let (log, ingest_stats) = {
-        rec.stage_begin("ingest", 0);
-        let span = rec.span("ingest");
-        ingest_input(opts, pipeline.config.parallelism, &rec, span.id())?
-    };
-    timings.ingest_ms = t.elapsed().as_millis() as u64;
+    let (log, ingest_stats) = ingest_input(opts, pipeline.config.parallelism, rec)?;
+    timings.ingest_ms = ms(t);
     match stored {
         Some(s) if s == ingest_stats => progress.loaded_stages.push(Stage::Ingest.name()),
         stored => {
@@ -1174,175 +1378,17 @@ pub fn run_checkpointed(
             progress.store(Stage::Ingest, |w| ingest_stats.put(w))?;
         }
     }
-    if stop(Stage::Ingest) {
+    if progress.stops_after(Stage::Ingest) {
         return Ok(None);
     }
 
-    // --- dedup (sort is folded in: the checkpoint stores base indices) ---
-    let (kept, dedup_stats) = stage_step(
-        &mut progress,
-        Stage::Dedup,
-        |r| {
-            let (kept, stats) = <(Vec<u32>, DedupStats)>::get(r)?;
-            check_bounds(kept.iter().map(|&i| i as usize), log.len(), "kept index")?;
-            if stats.kept != kept.len() {
-                return Err("kept count disagrees with index vector".to_string());
-            }
-            Ok((kept, stats))
-        },
-        || {
-            let t = Instant::now();
-            let input = pipeline.op_sort(&log);
-            timings.sort_ms = t.elapsed().as_millis() as u64;
-            let (view, stats) = pipeline.op_dedup(&input);
-            let kept: Vec<u32> = (0..view.len()).map(|i| view.base_index(i) as u32).collect();
-            (kept, stats)
-        },
-        |v, w| v.put(w),
-        &mut timings.dedup_ms,
-    )?;
-    // The sort ran inside the dedup step but has its own column.
-    timings.dedup_ms = timings.dedup_ms.saturating_sub(timings.sort_ms);
-    let pre_clean = LogView::from_indices(&log, kept);
-    if stop(Stage::Dedup) {
+    let Some(mut result) = drive(pipeline, &log, &mut progress, timings, started)? else {
         return Ok(None);
-    }
-
-    // --- parse ---
-    let (store, parsed) = stage_step(
-        &mut progress,
-        Stage::Parse,
-        |r| get_parse(r, pre_clean.len(), &rec),
-        || {
-            let store = TemplateStore::with_recorder(rec.clone());
-            let parsed = pipeline.op_parse(&pre_clean, &store);
-            (store, parsed)
-        },
-        |(store, parsed), w| put_parse(store, parsed, w),
-        &mut timings.parse_ms,
-    )?;
-    if stop(Stage::Parse) {
-        return Ok(None);
-    }
-    let n_records = parsed.records.len();
-
-    // --- sessions ---
-    let sessions = stage_step(
-        &mut progress,
-        Stage::Sessions,
-        |r| {
-            let s = Sessions::get(r)?;
-            let sessions = &s.sessions;
-            check_bounds(
-                sessions.iter().map(|s| s.user as usize),
-                s.user_names.len(),
-                "session user id",
-            )?;
-            check_bounds(
-                sessions.iter().flat_map(|s| s.records.iter().copied()),
-                n_records,
-                "session record index",
-            )?;
-            Ok(s)
-        },
-        || pipeline.op_sessions(&pre_clean, &parsed.records),
-        |v, w| v.put(w),
-        &mut timings.sessions_ms,
-    )?;
-    if stop(Stage::Sessions) {
-        return Ok(None);
-    }
-
-    // --- mine ---
-    let mined = stage_step(
-        &mut progress,
-        Stage::Mine,
-        MinedPatterns::get,
-        || pipeline.op_mine(&sessions, &parsed.records),
-        |v, w| v.put(w),
-        &mut timings.mine_ms,
-    )?;
-    if stop(Stage::Mine) {
-        return Ok(None);
-    }
-
-    // --- detect ---
-    let detected = stage_step(
-        &mut progress,
-        Stage::Detect,
-        |r| {
-            let d = DetectOutput::get(r)?;
-            check_bounds(
-                d.instances.iter().flat_map(|i| i.records.iter().copied()),
-                n_records,
-                "instance record index",
-            )?;
-            Ok(d)
-        },
-        || pipeline.op_detect(&pre_clean, &parsed.records, &sessions, &store),
-        |v, w| v.put(w),
-        &mut timings.detect_ms,
-    )?;
-    if stop(Stage::Detect) {
-        return Ok(None);
-    }
-
-    // --- solve --- The checkpoint holds the solvers' choices, written
-    // between choosing and assembling; a load re-assembles the clean and
-    // removal logs with the same code a live run ends with.
-    let loaded = progress.load(Stage::Solve, |r| {
-        let chosen = ChosenRewrites::get(r)?;
-        pipeline.op_solve_replay(
-            &pre_clean,
-            &parsed.records,
-            &sessions,
-            &store,
-            &detected,
-            chosen,
-        )
-    });
-    let outcome = match loaded {
-        Some(outcome) => {
-            progress.skipped(Stage::Solve);
-            outcome
-        }
-        None => {
-            let t = Instant::now();
-            let before = progress.checkpoint_time;
-            let outcome = pipeline.op_solve_with(
-                &pre_clean,
-                &parsed.records,
-                &sessions,
-                &store,
-                &detected,
-                |chosen| progress.store(Stage::Solve, |w| chosen.put(w)),
-            )?;
-            let stored = progress.checkpoint_time - before;
-            timings.solve_ms = t.elapsed().saturating_sub(stored).as_millis() as u64;
-            outcome
-        }
     };
-    if stop(Stage::Solve) {
-        return Ok(None);
-    }
-
-    timings.checkpoint_ms = progress.checkpoint_time.as_millis() as u64;
-    timings.total_ms = t_total.elapsed().as_millis() as u64;
-    let mut result = pipeline.assemble(
-        log.len(),
-        &pre_clean,
-        &dedup_stats,
-        parsed,
-        &sessions,
-        mined,
-        detected,
-        outcome,
-        store,
-        timings,
-    );
-    result.stats.run_health.quarantined_lines = ingest_stats.quarantined;
-    result.stats.run_health.invalid_utf8_lines = ingest_stats.invalid_utf8;
-    result.stats.run_health.interruptions = manifest.interruptions as usize;
+    let health = &mut result.stats.run_health;
+    health.quarantined_lines = ingest_stats.quarantined;
+    health.invalid_utf8_lines = ingest_stats.invalid_utf8;
+    health.interruptions = manifest.map_or(0, |m| m.interruptions as usize);
     Ok(Some(CheckpointOutcome {
         result,
         ingest_stats,
@@ -1351,17 +1397,29 @@ pub fn run_checkpointed(
     }))
 }
 
+/// [`run_file`] checkpointed into `dir`.
+pub fn run_checkpointed(
+    pipeline: &Pipeline<'_>,
+    dir: &RunDir,
+    opts: &CheckpointOptions,
+) -> Result<Option<CheckpointOutcome>, String> {
+    run_file(pipeline, Some(dir), opts)
+}
+
 /// Reads the input under the run's ingest policy — segmented and parallel
 /// (`threads` segments, 0 = one per core), byte-identical to the sequential
-/// reader — streaming quarantined lines into an atomically-written sidecar.
-/// The `ingest`-stage fault hook trips on matching statements after the
-/// read, inside the stage window.
+/// reader — as the `ingest` stage, streaming quarantined lines into an
+/// atomically-written sidecar. Quarantined lines are reported on stderr
+/// and as a recorder warning, and counted with the entries in the
+/// `ingest.*` counters. The `ingest`-stage fault hook trips on matching
+/// statements after the read, inside the stage window.
 fn ingest_input(
     opts: &CheckpointOptions,
     threads: usize,
     rec: &Recorder,
-    parent: Option<SpanId>,
 ) -> Result<(QueryLog, IngestStats), String> {
+    rec.stage_begin("ingest", 0);
+    let span = rec.span("ingest");
     let mut sidecar = match &opts.quarantine {
         Some(path) => Some(
             AtomicFile::create(path)
@@ -1375,7 +1433,7 @@ fn ingest_input(
         threads,
         sidecar.as_mut().map(|w| w as &mut dyn Write),
         rec,
-        parent,
+        span.id(),
     )
     .map_err(|e| format!("cannot read {}: {e}", opts.input.display()))?;
     if let Some(s) = sidecar {
@@ -1383,6 +1441,24 @@ fn ingest_input(
         s.commit()
             .map_err(|e| format!("cannot write quarantine sidecar {}: {e}", path.display()))?;
     }
+    if stats.quarantined > 0 {
+        let msg = format!(
+            "quarantined {} unreadable lines ({} malformed, {} invalid UTF-8){}",
+            stats.quarantined,
+            stats.malformed,
+            stats.invalid_utf8,
+            opts.quarantine
+                .as_ref()
+                .map(|p| format!(", copied to {}", p.display()))
+                .unwrap_or_default()
+        );
+        eprintln!("{msg}");
+        // Machine consumers of the trace must not need to scrape stderr.
+        rec.warning(msg);
+        rec.counter("ingest.quarantined_lines", stats.quarantined as u64);
+        rec.counter("ingest.invalid_utf8_lines", stats.invalid_utf8 as u64);
+    }
+    rec.counter("ingest.entries", log.len() as u64);
     let fault = fault::armed("ingest");
     if fault.is_some() {
         for e in &log.entries {

@@ -20,9 +20,11 @@
 //! ([`Pipeline::op_dedup`], [`Pipeline::op_parse`],
 //! [`Pipeline::op_sessions`], [`Pipeline::op_mine`], [`Pipeline::op_detect`],
 //! [`Pipeline::op_solve`]) that reads every knob — thread count, recorder,
-//! thresholds — from the pipeline's [`PipelineConfig`]. [`Pipeline::run`]
-//! drives them back to back; a custom driver calls them one by one on a
-//! [`sqlog_log::LogView`].
+//! thresholds — from the pipeline's [`PipelineConfig`]. One driver runs
+//! them in order: [`Pipeline::run`] over an in-memory log, and
+//! [`checkpoint::run_file`] over an input file, with its one ingest and,
+//! given a [`RunDir`], a checkpoint after each stage. A custom driver calls
+//! the operators one by one on a [`sqlog_log::LogView`].
 //!
 //! ```
 //! use sqlog_core::{Pipeline, PipelineConfig};
@@ -67,8 +69,8 @@ pub mod store;
 pub mod sws;
 
 pub use checkpoint::{
-    config_fingerprint, run_checkpointed, CheckpointOptions, CheckpointOutcome, Manifest, RunDir,
-    Stage, CHECKPOINT_SCHEMA, MANIFEST_SCHEMA,
+    config_fingerprint, run_checkpointed, run_file, CheckpointOptions, CheckpointOutcome, Manifest,
+    RunDir, Stage, CHECKPOINT_SCHEMA, MANIFEST_SCHEMA,
 };
 pub use config::PipelineConfig;
 pub use dedup::DedupStats;
@@ -84,7 +86,7 @@ pub use run_report::{statistics_from_json, statistics_to_json, RunReport, RUN_RE
 pub use shard::{
     balance_chunks, resolve_threads, run_shards_isolated, run_shards_traced, ShardTrace,
 };
-pub use solve::{apply_solutions, ChosenRewrites, SolveOutcome, SolvedRewrite};
+pub use solve::{ChosenRewrites, SolveOutcome, SolvedRewrite};
 pub use stats::{ClassCounts, RunHealth, StageTimings, Statistics};
 pub use store::{TemplateId, TemplateStore};
 pub use sws::{classify_sws, sws_grid, union_windows, SwsResult, SwsThresholds};

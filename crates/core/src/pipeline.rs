@@ -8,13 +8,15 @@
 //!
 //! The batch run is a sequence of explicit **stage operators** (`op_sort`,
 //! `op_dedup`, `op_parse`, `op_sessions`, `op_mine`, `op_detect`,
-//! `op_solve`, `assemble`): [`Pipeline::run`] drives them back to back,
-//! while the checkpointed runner ([`crate::checkpoint`]) drives the same
-//! operators with a serialization point after each one, so an interrupted
-//! run can resume from the last completed stage. Both drivers produce
-//! byte-identical output — the operators are the single source of truth
-//! for what each stage does.
+//! `op_solve`, `assemble`). One driver runs them in that order, optionally
+//! checkpointed: [`Pipeline::run`] drives them over an in-memory log with
+//! no run directory, and [`crate::checkpoint::run_file`] reads an input
+//! file and drives them with a load-or-store around each one when given a
+//! run directory, so an interrupted run can resume from the last completed
+//! stage. The operators are the single source of truth for what each stage
+//! does, and the output is byte-identical either way.
 
+use crate::checkpoint::{self, Progress};
 use crate::config::PipelineConfig;
 use crate::dedup::{dedup_stage, DedupStats};
 use crate::detect::{
@@ -110,7 +112,8 @@ impl<'a> Pipeline<'a> {
         self
     }
 
-    /// Runs the pipeline over a log.
+    /// Runs the pipeline over a log: the checkpointed runs' stage driver
+    /// with no run directory, so nothing is encoded or stored.
     ///
     /// Every stage up to solving shards its work over
     /// [`PipelineConfig::parallelism`] worker threads — by user (dedup,
@@ -118,71 +121,17 @@ impl<'a> Pipeline<'a> {
     /// detection) — and merges shard outputs deterministically, so the
     /// result is identical for every thread count.
     pub fn run(&self, original: &QueryLog) -> PipelineResult {
-        let t_total = Instant::now();
-        let ms = |t: Instant| t.elapsed().as_millis() as u64;
-        let rec = &self.config.recorder;
-        let mut pipeline_span = rec.span("pipeline");
-        pipeline_span.field("threads", resolve_threads(self.config.parallelism) as u64);
-        pipeline_span.field("input", original.len() as u64);
-        if rec.is_enabled() {
-            // Route the fault-injection arming into the event stream too —
-            // `fault::armed` already shouts on stderr, but machine consumers
-            // of the trace must not need to scrape stderr for it.
-            if let Some(desc) = fault::armed_description() {
-                rec.warning(desc);
-            }
-        }
-
-        let t = Instant::now();
-        let input = self.op_sort(original);
-        let sort_ms = ms(t);
-        let t = Instant::now();
-        let (pre_clean, dedup_stats) = self.op_dedup(&input);
-        let dedup_ms = ms(t);
-        let t = Instant::now();
-        let store = TemplateStore::with_recorder(rec.clone());
-        let parsed = self.op_parse(&pre_clean, &store);
-        let parse_ms = ms(t);
-        let t = Instant::now();
-        let sessions = self.op_sessions(&pre_clean, &parsed.records);
-        let sessions_ms = ms(t);
-        let t = Instant::now();
-        let mined = self.op_mine(&sessions, &parsed.records);
-        let mine_ms = ms(t);
-        let t = Instant::now();
-        let detected = self.op_detect(&pre_clean, &parsed.records, &sessions, &store);
-        let detect_ms = ms(t);
-        let t = Instant::now();
-        let outcome = self.op_solve(&pre_clean, &parsed.records, &sessions, &store, &detected);
-        let solve_ms = ms(t);
-
-        let timings = StageTimings {
-            // Ingest and report happen outside the pipeline; the binary
-            // that drives the run fills these (and extends total_ms).
-            ingest_ms: 0,
-            sort_ms,
-            dedup_ms,
-            parse_ms,
-            sessions_ms,
-            mine_ms,
-            detect_ms,
-            solve_ms,
-            checkpoint_ms: 0,
-            report_ms: 0,
-            total_ms: ms(t_total),
-        };
-        self.assemble(
-            original.len(),
-            &pre_clean,
-            &dedup_stats,
-            parsed,
-            &sessions,
-            mined,
-            detected,
-            outcome,
-            store,
-            timings,
+        let mut progress = Progress::new(None, &self.config.recorder, false, None);
+        checkpoint::drive(
+            self,
+            original,
+            &mut progress,
+            StageTimings::default(),
+            Instant::now(),
         )
+        .ok()
+        .flatten()
+        .expect("a run without a run directory neither fails nor stops early")
     }
 
     /// Stage operator 0: order by time. A sorted *view* (index permutation)
@@ -350,50 +299,22 @@ impl<'a> Pipeline<'a> {
         store: &TemplateStore,
         detected: &DetectOutput,
     ) -> SolveOutcome {
-        self.op_solve_with(pre_clean, records, sessions, store, detected, |_| Ok(()))
-            .expect("solving fails only through its hook")
-    }
-
-    /// [`Pipeline::op_solve`] with a hook that sees the solvers' choices
-    /// before the logs are assembled from them — where a checkpointed run
-    /// stores them. An error from the hook ends the stage.
-    pub(crate) fn op_solve_with(
-        &self,
-        pre_clean: &LogView<'_>,
-        records: &[ParsedRecord],
-        sessions: &Sessions,
-        store: &TemplateStore,
-        detected: &DetectOutput,
-        hook: impl FnOnce(&ChosenRewrites) -> Result<(), String>,
-    ) -> Result<SolveOutcome, String> {
-        let ctx = self.solve_ctx(pre_clean, records, sessions, store);
-        self.config
-            .recorder
-            .stage_begin("solve", detected.instances.len() as u64);
         let _span = self.config.recorder.span("solve");
-        let chosen = choose_rewrites(&ctx, &detected.instances, &self.extensions.solver_set());
-        hook(&chosen)?;
-        Ok(assemble_logs(&ctx, &detected.instances, chosen)
-            .expect("chosen rewrites fit their instances"))
-    }
-
-    /// Rebuilds the solve stage's outcome from recorded choices without
-    /// running a solver: the same assembly [`Pipeline::op_solve`] ends
-    /// with. Fails when the choices do not fit `detected`.
-    pub(crate) fn op_solve_replay(
-        &self,
-        pre_clean: &LogView<'_>,
-        records: &[ParsedRecord],
-        sessions: &Sessions,
-        store: &TemplateStore,
-        detected: &DetectOutput,
-        chosen: ChosenRewrites,
-    ) -> Result<SolveOutcome, String> {
         let ctx = self.solve_ctx(pre_clean, records, sessions, store);
+        let chosen = self.op_choose(&ctx, detected);
         assemble_logs(&ctx, &detected.instances, chosen)
     }
 
-    fn solve_ctx<'c>(
+    /// The solvers' half of [`Pipeline::op_solve`]: what a solve
+    /// checkpoint stores, before the logs are assembled from it.
+    pub(crate) fn op_choose(&self, ctx: &DetectCtx<'_>, detected: &DetectOutput) -> ChosenRewrites {
+        self.config
+            .recorder
+            .stage_begin("solve", detected.instances.len() as u64);
+        choose_rewrites(ctx, &detected.instances, &self.extensions.solver_set())
+    }
+
+    pub(crate) fn solve_ctx<'c>(
         &'c self,
         pre_clean: &'c LogView<'c>,
         records: &'c [ParsedRecord],
@@ -411,8 +332,7 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Final assembly: statistics, pattern marks and entry-id joins from
-    /// the completed stage outputs. Pure bookkeeping — no stage work — so
-    /// both drivers (batch and checkpointed) share it.
+    /// the completed stage outputs. Pure bookkeeping — no stage work.
     #[allow(clippy::too_many_arguments)] // one parameter per stage output
     pub fn assemble(
         &self,

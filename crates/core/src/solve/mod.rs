@@ -70,17 +70,6 @@ pub struct ChosenRewrites {
     pub skipped_overlaps: usize,
 }
 
-/// Applies the solvers over the parsed log: chooses the rewrites, then
-/// assembles the clean and removal logs from them.
-pub fn apply_solutions(
-    ctx: &DetectCtx<'_>,
-    instances: &[AntipatternInstance],
-    solvers: &SolverSet<'_>,
-) -> SolveOutcome {
-    let chosen = choose_rewrites(ctx, instances, solvers);
-    assemble_logs(ctx, instances, chosen).expect("chosen rewrites fit their instances")
-}
-
 /// Runs the solvers: instances in order of appearance, the first of two
 /// overlapping instances wins.
 pub(crate) fn choose_rewrites(
@@ -130,18 +119,53 @@ pub(crate) fn choose_rewrites(
     chosen
 }
 
-/// Builds the clean and removal logs from the chosen rewrites. Checks
-/// that the choice fits `instances` — indices in bounds and increasing,
-/// solvable, non-empty and non-overlapping instances — so choices read
-/// back from a checkpoint are held to what [`choose_rewrites`] produces.
+impl ChosenRewrites {
+    /// Checks that the choice fits `instances` — indices in bounds and
+    /// increasing, solvable, non-empty and non-overlapping instances — so
+    /// choices read back from a checkpoint are held to what
+    /// [`choose_rewrites`] produces. Returns which of the `n_records`
+    /// parsed records the solved instances consume.
+    pub(crate) fn consumed(
+        &self,
+        instances: &[AntipatternInstance],
+        n_records: usize,
+    ) -> Result<Vec<bool>, String> {
+        let mut consumed = vec![false; n_records];
+        let mut next_idx = 0usize;
+        for &(idx, _) in &self.solved {
+            let inst = instances
+                .get(idx)
+                .filter(|_| idx >= next_idx)
+                .ok_or_else(|| format!("solved instance {idx} out of order or out of bounds"))?;
+            next_idx = idx + 1;
+            if inst.records.is_empty() || !inst.solvable {
+                return Err(format!("instance {idx} is empty or not solvable"));
+            }
+            if inst.records.iter().any(|&ri| consumed[ri]) {
+                return Err(format!(
+                    "instance {idx} overlaps an earlier solved instance"
+                ));
+            }
+            for &ri in &inst.records {
+                consumed[ri] = true;
+            }
+        }
+        Ok(consumed)
+    }
+}
+
+/// Builds the clean and removal logs from the chosen rewrites, which must
+/// fit `instances` (see [`ChosenRewrites::consumed`]).
 pub(crate) fn assemble_logs(
     ctx: &DetectCtx<'_>,
     instances: &[AntipatternInstance],
     chosen: ChosenRewrites,
-) -> Result<SolveOutcome, String> {
+) -> SolveOutcome {
     let rec = &ctx.config.recorder;
     let n_records = ctx.records.len();
-    let mut consumed = vec![false; n_records];
+    let consumed = chosen
+        .consumed(instances, n_records)
+        .expect("chosen rewrites fit their instances");
     let mut in_any_instance = vec![false; n_records];
     for inst in instances {
         for &ri in &inst.records {
@@ -152,24 +176,8 @@ pub(crate) fn assemble_logs(
     let mut rewrites: Vec<(usize, Vec<String>)> = Vec::with_capacity(chosen.solved.len());
     let mut solved: Vec<SolvedRewrite> = Vec::with_capacity(chosen.solved.len());
     let mut solved_queries = 0usize;
-    let mut next_idx = 0usize;
     for (idx, statements) in chosen.solved {
-        let inst = instances
-            .get(idx)
-            .filter(|_| idx >= next_idx)
-            .ok_or_else(|| format!("solved instance {idx} out of order or out of bounds"))?;
-        next_idx = idx + 1;
-        let Some(&head) = inst.records.first().filter(|_| inst.solvable) else {
-            return Err(format!("instance {idx} is empty or not solvable"));
-        };
-        if inst.records.iter().any(|&ri| consumed[ri]) {
-            return Err(format!(
-                "instance {idx} overlaps an earlier solved instance"
-            ));
-        }
-        for &ri in &inst.records {
-            consumed[ri] = true;
-        }
+        let inst = &instances[idx];
         solved_queries += inst.records.len();
         let originals: Vec<&LogEntry> = inst
             .records
@@ -182,7 +190,7 @@ pub(crate) fn assemble_logs(
             original_statements: originals.iter().map(|e| e.statement.clone()).collect(),
             rewritten_statements: statements.clone(),
         });
-        rewrites.push((head, statements));
+        rewrites.push((inst.records[0], statements));
     }
 
     // Assemble the clean log: unconsumed records keep their entries;
@@ -264,7 +272,7 @@ pub(crate) fn assemble_logs(
     rec.counter("solve.solved_queries", solved_queries as u64);
     rec.counter("solve.rewritten_statements", rewritten_statements as u64);
     rec.counter("solve.skipped_overlaps", chosen.skipped_overlaps as u64);
-    Ok(SolveOutcome {
+    SolveOutcome {
         clean_log,
         removal_log,
         solved_instances,
@@ -272,17 +280,13 @@ pub(crate) fn assemble_logs(
         rewritten_statements,
         skipped_overlaps: chosen.skipped_overlaps,
         rewrites: solved,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PipelineConfig;
-    use crate::detect::detect_builtin;
-    use crate::ext::SolverSet;
-    use crate::mine::sessions_stage;
-    use crate::parse_step::parse_stage;
+    use crate::pipeline::Pipeline;
     use crate::store::TemplateStore;
     use sqlog_catalog::skyserver_catalog;
     use sqlog_log::{LogEntry, LogView, QueryLog, Timestamp};
@@ -296,22 +300,14 @@ mod tests {
                 })
                 .collect(),
         );
-        let store = TemplateStore::new();
-        let config = PipelineConfig::default();
-        let view = LogView::identity(&log);
-        let parsed = parse_stage(&view, &store, &config, None);
-        let sessions = sessions_stage(&view, &parsed.records, &config, None);
         let catalog = skyserver_catalog();
-        let ctx = DetectCtx {
-            log: &view,
-            records: &parsed.records,
-            sessions: &sessions.sessions,
-            store: &store,
-            catalog: &catalog,
-            config: &config,
-        };
-        let instances = detect_builtin(&ctx);
-        apply_solutions(&ctx, &instances, &SolverSet::builtin())
+        let pipeline = Pipeline::new(&catalog);
+        let view = LogView::identity(&log);
+        let store = TemplateStore::new();
+        let parsed = pipeline.op_parse(&view, &store);
+        let sessions = pipeline.op_sessions(&view, &parsed.records);
+        let detected = pipeline.op_detect(&view, &parsed.records, &sessions, &store);
+        pipeline.op_solve(&view, &parsed.records, &sessions, &store, &detected)
     }
 
     #[test]

@@ -239,6 +239,32 @@ fn kill_in_every_stage_then_resume_is_byte_identical() {
     }
 }
 
+/// The ingest fault hook lives in the one ingest every run shares, so it
+/// fires without a run directory too: the process dies by SIGABRT before
+/// any output exists.
+#[cfg(unix)]
+#[test]
+fn ingest_abort_without_run_dir_kills_the_run() {
+    use std::os::unix::process::ExitStatusExt;
+    let scratch = Scratch::new("plain-ingest");
+    let p = paths(&scratch, "plain");
+    std::fs::write(&p.input, fixture()).expect("write fixture");
+    let out = base_cmd(&p, 1, true)
+        .env("SQLOG_FAULT_MARKER", MARKER)
+        .env("SQLOG_FAULT_STAGE", "ingest")
+        .env("SQLOG_FAULT_ACTION", "abort")
+        .output()
+        .expect("spawn plain run");
+    assert_eq!(
+        out.status.signal(),
+        Some(6),
+        "the ingest abort did not fire without --run-dir: {:?}\nstderr: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!p.clean.exists(), "the aborted run wrote a clean log");
+}
+
 /// Crash *between* writing a checkpoint's temp file and its atomic rename
 /// — the torn-write window. The stage must re-run on resume.
 #[test]

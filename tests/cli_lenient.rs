@@ -7,6 +7,8 @@
 //! "completed but degraded" code. A fault-free run exits 0. These three
 //! exit codes are a documented contract, pinned here.
 
+use sqlog::core::RunReport;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -79,18 +81,22 @@ fn lenient_mode_runs_to_completion_with_quarantine_and_health_report() {
     let input = scratch.path("corrupted.tsv");
     let clean = scratch.path("clean.tsv");
     let quarantine = scratch.path("bad.tsv");
+    let stats = scratch.path("stats.json");
     std::fs::write(&input, corrupted_fixture()).expect("write fixture");
 
+    let args = [
+        "--in",
+        input.to_str().unwrap(),
+        "--out",
+        clean.to_str().unwrap(),
+        "--lenient",
+        "--quarantine",
+        quarantine.to_str().unwrap(),
+        "--stats-json",
+        stats.to_str().unwrap(),
+    ];
     let out = Command::new(BIN)
-        .args([
-            "--in",
-            input.to_str().unwrap(),
-            "--out",
-            clean.to_str().unwrap(),
-            "--lenient",
-            "--quarantine",
-            quarantine.to_str().unwrap(),
-        ])
+        .args(args)
         .output()
         .expect("run sqlog-clean");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -108,10 +114,11 @@ fn lenient_mode_runs_to_completion_with_quarantine_and_health_report() {
     expected.extend_from_slice(UTF8_LINE);
     expected.push(b'\n');
     assert_eq!(std::fs::read(&quarantine).expect("read sidecar"), expected);
-    assert!(
-        stderr.contains("quarantined 2 unreadable lines (1 malformed, 1 invalid UTF-8)"),
-        "stderr: {stderr}"
+    let reported = format!(
+        "quarantined 2 unreadable lines (1 malformed, 1 invalid UTF-8), copied to {}",
+        quarantine.display()
     );
+    assert!(stderr.contains(&reported), "stderr: {stderr}");
 
     // The statistics report carries the run-health accounting.
     assert!(stdout.contains("Run health"), "stdout: {stdout}");
@@ -127,6 +134,42 @@ fn lenient_mode_runs_to_completion_with_quarantine_and_health_report() {
     let clean_text = std::fs::read_to_string(&clean).expect("read clean log");
     assert!(clean_text.contains("IN (8, 1)"), "clean: {clean_text}");
     assert!(clean_text.contains("photoprimary"), "clean: {clean_text}");
+
+    // A checkpointed run reads the input through the same ingest: the same
+    // stderr report, `ingest.*` counters and warning events.
+    let ingest_obs = || {
+        let report = RunReport::parse(&std::fs::read_to_string(&stats).expect("read stats"))
+            .expect("parse run report");
+        let counters: BTreeMap<String, u64> = report
+            .obs
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("ingest."))
+            .collect();
+        (counters, report.obs.warnings)
+    };
+    let plain = ingest_obs();
+    assert_eq!(
+        plain.0.get("ingest.quarantined_lines"),
+        Some(&2),
+        "{plain:?}"
+    );
+    assert_eq!(
+        plain.0.get("ingest.invalid_utf8_lines"),
+        Some(&1),
+        "{plain:?}"
+    );
+    assert_eq!(plain.1.len(), 1, "{plain:?}");
+    let out = Command::new(BIN)
+        .args(args)
+        .args(["--run-dir", scratch.path("run").to_str().unwrap()])
+        .output()
+        .expect("run sqlog-clean --run-dir");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "--run-dir: {stderr}");
+    assert!(stderr.contains(&reported), "--run-dir stderr: {stderr}");
+    assert_eq!(ingest_obs(), plain, "--run-dir changed the ingest report");
+    assert_eq!(std::fs::read(&quarantine).expect("read sidecar"), expected);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! `sqlog-clean` observability flags, end to end through the real binary.
 //!
-//! A run with `--trace-events` and `--stats-json` must produce valid NDJSON
-//! (every line a complete JSON object of a known type), per-shard spans
-//! covering every pipeline stage plus ingest and report, and a stats JSON
-//! whose statistics render to exactly the block printed on stdout. An
+//! A run with `--trace-events` and `--stats-json` — plain or with
+//! `--run-dir` — must produce valid NDJSON (every line a complete JSON
+//! object of a known type), per-shard spans covering every pipeline stage
+//! plus ingest and report, and a stats JSON whose statistics render to
+//! exactly the block printed on stdout. An
 //! unwritable sink path must fail before any pipeline work.
 
 use sqlog::core::{render_statistics, RunReport};
@@ -41,18 +42,27 @@ const STAGES: &[&str] = &[
     "ingest", "sort", "dedup", "parse", "sessions", "mine", "detect", "solve", "report",
 ];
 
+/// The same contract holds whether the run is checkpointed or not: both
+/// go through one driver, so a `--run-dir` run's trace has the same
+/// stage spans under the same `pipeline` root.
 #[test]
 fn trace_events_and_stats_json_cover_the_run() {
     let scratch = Scratch::new("full");
     let input = scratch.path("input.tsv");
-    let clean = scratch.path("clean.tsv");
-    let trace = scratch.path("trace.ndjson");
-    let stats = scratch.path("stats.json");
     let log = generate(&GenConfig::with_scale(2_000, 7));
     write_log_file(&log, &input).expect("write generated log");
 
-    let out = Command::new(BIN)
-        .args([
+    for run_dir in [None, Some(scratch.path("run"))] {
+        let leg = if run_dir.is_some() {
+            "run-dir"
+        } else {
+            "plain"
+        };
+        let clean = scratch.path(&format!("{leg}-clean.tsv"));
+        let trace = scratch.path(&format!("{leg}-trace.ndjson"));
+        let stats = scratch.path(&format!("{leg}-stats.json"));
+        let mut cmd = Command::new(BIN);
+        cmd.args([
             "--in",
             input.to_str().unwrap(),
             "--out",
@@ -64,79 +74,88 @@ fn trace_events_and_stats_json_cover_the_run() {
             trace.to_str().unwrap(),
             "--stats-json",
             stats.to_str().unwrap(),
-        ])
-        .output()
-        .expect("run sqlog-clean");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "run failed\n{stderr}");
-
-    // Every NDJSON line is a complete JSON object of a known type; the
-    // stream opens with the meta line.
-    let trace_text = std::fs::read_to_string(&trace).expect("read trace");
-    let mut span_ids: HashMap<u64, String> = HashMap::new(); // id → span name
-    let mut names: HashSet<String> = HashSet::new();
-    let mut shard_parents: Vec<(String, u64)> = Vec::new();
-    for (i, line) in trace_text.lines().enumerate() {
-        let v = Json::parse(line).unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
-        let ty = v.get("type").and_then(Json::as_str).expect("type field");
-        assert!(
-            ["meta", "span", "warning", "counter", "histogram"].contains(&ty),
-            "unknown event type {ty:?}"
-        );
-        if i == 0 {
-            assert_eq!(ty, "meta", "first line must be meta");
-            assert_eq!(v.get("schema").and_then(Json::as_u64), Some(1));
-            continue;
+        ]);
+        if let Some(dir) = &run_dir {
+            cmd.args(["--run-dir", dir.to_str().unwrap()]);
         }
-        if ty == "span" {
-            let name = v.get("name").and_then(Json::as_str).expect("span name");
-            let id = v.get("id").and_then(Json::as_u64).expect("span id");
-            span_ids.insert(id, name.to_string());
-            names.insert(name.to_string());
-            if let Some(stage) = name.strip_suffix(".shard") {
-                let parent = v
-                    .get("parent")
-                    .and_then(Json::as_u64)
-                    .unwrap_or_else(|| panic!("{name} span has no parent"));
-                shard_parents.push((stage.to_string(), parent));
-                assert!(
-                    v.get("fields").and_then(|f| f.get("shard")).is_some(),
-                    "{name} span lacks a shard field: {line}"
-                );
+        let out = cmd.output().expect("run sqlog-clean");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{leg}: run failed\n{stderr}");
+
+        // Every NDJSON line is a complete JSON object of a known type; the
+        // stream opens with the meta line.
+        let trace_text = std::fs::read_to_string(&trace).expect("read trace");
+        let mut span_ids: HashMap<u64, String> = HashMap::new(); // id → span name
+        let mut names: HashSet<String> = HashSet::new();
+        let mut shard_parents: Vec<(String, u64)> = Vec::new();
+        for (i, line) in trace_text.lines().enumerate() {
+            let v = Json::parse(line).unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
+            let ty = v.get("type").and_then(Json::as_str).expect("type field");
+            assert!(
+                ["meta", "span", "warning", "counter", "histogram"].contains(&ty),
+                "unknown event type {ty:?}"
+            );
+            if i == 0 {
+                assert_eq!(ty, "meta", "first line must be meta");
+                assert_eq!(v.get("schema").and_then(Json::as_u64), Some(1));
+                continue;
+            }
+            if ty == "span" {
+                let name = v.get("name").and_then(Json::as_str).expect("span name");
+                let id = v.get("id").and_then(Json::as_u64).expect("span id");
+                span_ids.insert(id, name.to_string());
+                names.insert(name.to_string());
+                if let Some(stage) = name.strip_suffix(".shard") {
+                    let parent = v
+                        .get("parent")
+                        .and_then(Json::as_u64)
+                        .unwrap_or_else(|| panic!("{name} span has no parent"));
+                    shard_parents.push((stage.to_string(), parent));
+                    assert!(
+                        v.get("fields").and_then(|f| f.get("shard")).is_some(),
+                        "{name} span lacks a shard field: {line}"
+                    );
+                }
             }
         }
-    }
-    for stage in STAGES {
-        assert!(names.contains(*stage), "missing {stage} span: {names:?}");
-    }
-    assert!(names.contains("pipeline"), "missing pipeline root span");
-    // Every shard span hangs under its own stage span.
-    assert!(!shard_parents.is_empty(), "no shard spans recorded");
-    for (stage, parent) in &shard_parents {
-        assert_eq!(
-            span_ids.get(parent).map(String::as_str),
-            Some(stage.as_str()),
-            "a {stage}.shard span is parented to the wrong span"
-        );
-    }
-
-    // The stats JSON round-trips and its statistics render to exactly the
-    // block printed on stdout — the two views cannot disagree.
-    let stats_text = std::fs::read_to_string(&stats).expect("read stats");
-    let report = RunReport::parse(&stats_text).expect("parse run report");
-    assert_eq!(report.stats.original_size, log.len());
-    assert!(
-        stdout.contains(&render_statistics(&report.stats)),
-        "stdout does not contain the serialized statistics block\n{stdout}"
-    );
-    // The aggregated observability section covers every stage.
-    for stage in STAGES {
+        for stage in STAGES {
+            assert!(
+                names.contains(*stage),
+                "{leg}: missing {stage} span: {names:?}"
+            );
+        }
         assert!(
-            report.obs.stages.contains_key(*stage),
-            "obs report lacks stage {stage}: {:?}",
-            report.obs.stages.keys().collect::<Vec<_>>()
+            names.contains("pipeline"),
+            "{leg}: missing pipeline root span"
         );
+        // Every shard span hangs under its own stage span.
+        assert!(!shard_parents.is_empty(), "{leg}: no shard spans recorded");
+        for (stage, parent) in &shard_parents {
+            assert_eq!(
+                span_ids.get(parent).map(String::as_str),
+                Some(stage.as_str()),
+                "{leg}: a {stage}.shard span is parented to the wrong span"
+            );
+        }
+
+        // The stats JSON round-trips and its statistics render to exactly
+        // the block printed on stdout — the two views cannot disagree.
+        let stats_text = std::fs::read_to_string(&stats).expect("read stats");
+        let report = RunReport::parse(&stats_text).expect("parse run report");
+        assert_eq!(report.stats.original_size, log.len());
+        assert!(
+            stdout.contains(&render_statistics(&report.stats)),
+            "{leg}: stdout does not contain the serialized statistics block\n{stdout}"
+        );
+        // The aggregated observability section covers every stage.
+        for stage in STAGES {
+            assert!(
+                report.obs.stages.contains_key(*stage),
+                "{leg}: obs report lacks stage {stage}: {:?}",
+                report.obs.stages.keys().collect::<Vec<_>>()
+            );
+        }
     }
 }
 
