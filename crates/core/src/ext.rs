@@ -19,29 +19,15 @@ pub trait Solver: Sync {
     fn solve(&self, inst: &AntipatternInstance, ctx: &DetectCtx<'_>) -> Option<Vec<String>>;
 }
 
-/// The set of solvers active in a pipeline run.
+/// The set of solvers active in a pipeline run, built by
+/// [`ExtensionRegistry::solver_set`].
 pub struct SolverSet<'a> {
     stifle: crate::solve::stifle::StifleSolver,
     snc: crate::solve::snc::SncSolver,
     custom: Vec<(String, &'a dyn Solver)>,
 }
 
-impl<'a> SolverSet<'a> {
-    /// Only the built-in solvers.
-    pub fn builtin() -> Self {
-        SolverSet {
-            stifle: crate::solve::stifle::StifleSolver::default(),
-            snc: crate::solve::snc::SncSolver,
-            custom: Vec::new(),
-        }
-    }
-
-    /// Registers a solver for a custom antipattern class.
-    pub fn with_custom(mut self, class_name: impl Into<String>, solver: &'a dyn Solver) -> Self {
-        self.custom.push((class_name.into(), solver));
-        self
-    }
-
+impl SolverSet<'_> {
     /// The solver responsible for a class, if any.
     pub fn for_class(&self, class: &AntipatternClass) -> Option<&dyn Solver> {
         match class {
@@ -86,11 +72,11 @@ impl<'a> ExtensionRegistry<'a> {
 
     /// Builds the full solver set (built-ins + extensions).
     pub fn solver_set(&self) -> SolverSet<'a> {
-        let mut set = SolverSet::builtin();
-        for (name, solver) in &self.solvers {
-            set = set.with_custom(name.clone(), *solver);
+        SolverSet {
+            stifle: crate::solve::stifle::StifleSolver::default(),
+            snc: crate::solve::snc::SncSolver,
+            custom: self.solvers.clone(),
         }
-        set
     }
 }
 
@@ -110,7 +96,7 @@ mod tests {
 
     #[test]
     fn builtin_routing() {
-        let set = SolverSet::builtin();
+        let set = ExtensionRegistry::new().solver_set();
         assert!(set.for_class(&AntipatternClass::DwStifle).is_some());
         assert!(set.for_class(&AntipatternClass::DsStifle).is_some());
         assert!(set.for_class(&AntipatternClass::DfStifle).is_some());
@@ -124,13 +110,18 @@ mod tests {
     #[test]
     fn custom_solver_routing() {
         let nop = NopSolver;
-        let set = SolverSet::builtin().with_custom("x", &nop);
+        let set = ExtensionRegistry::new().with_solver("x", &nop).solver_set();
         assert_eq!(
             set.for_class(&AntipatternClass::Custom("x".into()))
                 .unwrap()
                 .name(),
             "nop"
         );
+        assert!(set
+            .for_class(&AntipatternClass::Custom("y".into()))
+            .is_none());
+        // A custom solver never shadows a built-in class.
+        assert_eq!(set.for_class(&AntipatternClass::Snc).unwrap().name(), "snc");
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use checkpoint::{
 pub use config::PipelineConfig;
 pub use dedup::DedupStats;
 pub use detect::{AntipatternClass, AntipatternInstance, DetectCtx, Detector};
-pub use ext::{ExtensionRegistry, Solver, SolverSet};
+pub use ext::{ExtensionRegistry, Solver};
 pub use ingest::{ingest_file_traced, ingest_slice_traced};
 pub use mine::{MinedPatterns, PatternData, Session, Sessions};
 pub use parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord};

@@ -255,16 +255,12 @@ impl ShapeCache {
     }
 }
 
-/// Sentinel number for literal `k`: 12 decimal digits, distinct per slot.
-fn sent_num(k: usize) -> String {
-    format!("987{k:09}")
-}
-
-/// Sentinel string-literal body for literal `k`: no quotes, so it needs no
-/// escaping inside the probe text.
-fn sent_str(k: usize) -> String {
-    format!("sqlog.sentinel.{k}")
-}
+/// Prefix of a sentinel number; with literal `k` zero-padded to nine digits
+/// it makes 12 decimal digits, distinct per slot.
+const SENT_NUM: &str = "987";
+/// Prefix of a sentinel string-literal body; followed by `k`, with no quotes,
+/// so it needs no escaping inside the probe text.
+const SENT_STR: &str = "sqlog.sentinel.";
 
 /// Builds the substitution recipe for a cached SELECT shape, or `None`
 /// when the shape cannot be certified (then it becomes uncacheable).
@@ -280,15 +276,15 @@ fn build_recipe(entry: &SelectEntry, limits: &ParseLimits, first_sql: &str) -> O
     let mut pos = 0usize;
     for (k, lit) in a_lits.iter().enumerate() {
         let s = match lit.kind {
-            RawLiteralKind::Number => sent_num(k),
-            RawLiteralKind::String { .. } => sent_str(k),
+            RawLiteralKind::Number => format!("{SENT_NUM}{k:09}"),
+            RawLiteralKind::String { .. } => format!("{SENT_STR}{k}"),
         };
         if lit.text(first_sql)? == s {
             return None;
         }
         probe.push_str(first_sql.get(pos..lit.start as usize)?);
         probe.push_str(&s);
-        sentinels.push((s, lit.kind));
+        sentinels.push(s);
         pos = lit.end as usize;
     }
     probe.push_str(first_sql.get(pos..)?);
@@ -300,10 +296,7 @@ fn build_recipe(entry: &SelectEntry, limits: &ParseLimits, first_sql: &str) -> O
         ..*limits
     };
     let stmts = parse_statements_with(&probe, &probe_limits).ok()?;
-    let q = stmts.iter().find_map(|s| match s {
-        Statement::Select(q) => Some(q),
-        _ => None,
-    })?;
+    let q = stmts.iter().find_map(Statement::as_select)?;
 
     // The probe must be shape-identical to the cached statement; a literal
     // that leaks into any of these facts makes the shape uncacheable.
@@ -344,7 +337,7 @@ fn zip_conjunct(
     ci: u32,
     a: &PredicateKind,
     p: &PredicateKind,
-    sentinels: &[(String, RawLiteralKind)],
+    sentinels: &[String],
     out: &mut Vec<Subst>,
 ) -> Option<()> {
     use PredicateKind as P;
@@ -430,7 +423,7 @@ fn zip_value(
     slot: u32,
     a: &ValueKind,
     p: &ValueKind,
-    sentinels: &[(String, RawLiteralKind)],
+    sentinels: &[String],
     out: &mut Vec<Subst>,
 ) -> Option<()> {
     match p {
@@ -481,20 +474,18 @@ fn zip_value(
 }
 
 /// Finds the literal index whose sentinel text (of the right kind) equals
-/// `text`. Linear scan; recipes are built once per shape.
-fn find_sentinel(
-    text: &str,
-    kind: RawLiteralKind,
-    sentinels: &[(String, RawLiteralKind)],
-) -> Option<usize> {
-    sentinels.iter().position(|(s, k)| {
-        s == text
-            && matches!(
-                (k, kind),
-                (RawLiteralKind::Number, RawLiteralKind::Number)
-                    | (RawLiteralKind::String { .. }, RawLiteralKind::String { .. })
-            )
-    })
+/// `text`. Each sentinel spells out its own index, so the index is read
+/// back from `text` and checked against that one sentinel: O(1) per slot,
+/// which keeps a recipe build linear in the literal count (long `IN` lists).
+/// Neither prefix matches the other kind's sentinels, so equal text also
+/// means equal kind.
+fn find_sentinel(text: &str, kind: RawLiteralKind, sentinels: &[String]) -> Option<usize> {
+    let prefix = match kind {
+        RawLiteralKind::Number => SENT_NUM,
+        RawLiteralKind::String { .. } => SENT_STR,
+    };
+    let k: usize = text.strip_prefix(prefix)?.parse().ok()?;
+    (sentinels.get(k)? == text).then_some(k)
 }
 
 /// Applies a substitution recipe: clones `base` and overwrites each
@@ -508,25 +499,13 @@ fn rebuild_profile(
     let mut profile = base.clone();
     for s in substs {
         let lit = lits.get(s.lit as usize)?;
-        let raw = lit.text(sql)?;
-        let value = if s.is_string {
-            match lit.kind {
-                RawLiteralKind::String { has_escape } => ValueKind::String(if has_escape {
-                    raw.replace("''", "'")
-                } else {
-                    raw.to_string()
-                }),
-                RawLiteralKind::Number => return None,
+        let value = match (lit.kind, s.is_string) {
+            (RawLiteralKind::String { .. }, true) => ValueKind::String(lit.value(sql)?),
+            (RawLiteralKind::Number, false) if s.negate => {
+                ValueKind::Number(format!("-{}", lit.text(sql)?))
             }
-        } else {
-            match lit.kind {
-                RawLiteralKind::Number => ValueKind::Number(if s.negate {
-                    format!("-{raw}")
-                } else {
-                    raw.to_string()
-                }),
-                RawLiteralKind::String { .. } => return None,
-            }
+            (RawLiteralKind::Number, false) => ValueKind::Number(lit.value(sql)?),
+            _ => return None,
         };
         *slot_mut(&mut profile, s.conjunct, s.slot)? = value;
     }
@@ -697,5 +676,38 @@ mod tests {
             "SELECT a FROM t WHERE objid = @id AND b = NULL",
             "SELECT a FROM t WHERE OBJID = @ID AND b = NULL",
         ]);
+    }
+
+    #[test]
+    fn recipe_build_is_linear_in_the_literal_count() {
+        // Two statements of one shape with 80 000-value IN lists (~640 KB,
+        // inside the parser's byte and token limits). Matching every
+        // profile slot against every sentinel is quadratic: ~2.4 s in a
+        // release build at 40 000 values (against ~16 ms for the miss), and
+        // four times that here, far over the bound.
+        let in_list = |base: u64| {
+            let values: Vec<String> = (base..base + 80_000).map(|v| v.to_string()).collect();
+            format!(
+                "SELECT ra FROM photoprimary WHERE objid IN ({})",
+                values.join(", ")
+            )
+        };
+        let stmts = [in_list(100_000), in_list(200_000)];
+        let store = TemplateStore::new();
+        let mut memo = FnvHashMap::default();
+        let mut cache = ShapeCache::default();
+        let limits = ParseLimits::default();
+        let statement_of = |j: u32| stmts[j as usize].as_str();
+        let miss = cache.parse_one_cached(&store, &mut memo, &limits, 0, &stmts[0], &statement_of);
+        let start = std::time::Instant::now();
+        let hit = cache.parse_one_cached(&store, &mut memo, &limits, 1, &stmts[1], &statement_of);
+        let elapsed = start.elapsed();
+        assert!(matches!(miss, Outcome::Select(_)));
+        assert!(matches!(hit, Outcome::Select(_)));
+        assert_eq!((cache.misses, cache.hits), (1, 1));
+        assert!(
+            elapsed < std::time::Duration::from_secs(3),
+            "first hit of an 80 000-value IN-list shape took {elapsed:?}"
+        );
     }
 }

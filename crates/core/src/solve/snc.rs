@@ -3,8 +3,8 @@
 
 use crate::detect::{AntipatternClass, AntipatternInstance, DetectCtx};
 use crate::ext::Solver;
+use crate::solve::batch::parse_select;
 use sqlog_sql::ast::*;
-use sqlog_sql::parse_statement;
 
 /// Solver for SNC occurrences.
 pub struct SncSolver;
@@ -49,9 +49,7 @@ impl Solver for SncSolver {
             return None;
         }
         let entry = ctx.record_entry(*inst.records.first()?);
-        let Statement::Select(mut q) = parse_statement(&entry.statement).ok()? else {
-            return None;
-        };
+        let mut q = parse_select(&entry.statement)?;
         q.body.selection = q.body.selection.take().map(rewrite);
         q.body.having = q.body.having.take().map(rewrite);
         Some(vec![q.to_string()])

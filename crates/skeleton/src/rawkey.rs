@@ -9,6 +9,13 @@
 //! the same [`crate::QueryTemplate`] — that is the soundness property the
 //! parse cache in `sqlog-core` relies on (and property tests pin down).
 //!
+//! The recorded literal spans are shared: the solver's template cache
+//! (`sqlog_core::solve::batch`) takes its spans from this scan too and
+//! folds them into a spelling-sensitive key of its own, so this module and
+//! the lexer are the only places that know where literal tokens start and
+//! end. [`RawLiteral::value`] holds the one rule for turning a span back
+//! into the value the parser would produce.
+//!
 //! The scan mirrors the `sqlog-sql` lexer's token boundaries exactly:
 //!
 //! * whitespace and comments become at most one separator byte, emitted
@@ -91,6 +98,16 @@ impl RawLiteral {
     /// The span's text within `sql` (the statement the scan ran over).
     pub fn text<'a>(&self, sql: &'a str) -> Option<&'a str> {
         sql.get(self.start as usize..self.end as usize)
+    }
+
+    /// The literal's value as the lexer yields it: a number's token text
+    /// verbatim, a string's content with each `''` escape folded to `'`.
+    pub fn value(&self, sql: &str) -> Option<String> {
+        let text = self.text(sql)?;
+        Some(match self.kind {
+            RawLiteralKind::String { has_escape: true } => text.replace("''", "'"),
+            _ => text.to_string(),
+        })
     }
 }
 
