@@ -50,8 +50,9 @@ use crate::dedup::DedupStats;
 use crate::detect::{AntipatternClass, AntipatternInstance};
 use crate::fault;
 use crate::mine::{MinedPatterns, PatternData, Session, Sessions};
-use crate::parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord};
+use crate::parse_step::{ParseCacheStats, ParseStats, ParsedLog};
 use crate::pipeline::{DetectOutput, Pipeline, PipelineResult};
+use crate::records::{Literals, ParsedRecord, ParsedRecords, TemplateFacts};
 use crate::shard::resolve_threads;
 use crate::solve::{assemble_logs, ChosenRewrites};
 use crate::stats::StageTimings;
@@ -67,13 +68,14 @@ use sqlog_sql::StatementKind;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hash};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Version written into every manifest.
 pub const MANIFEST_SCHEMA: u64 = 1;
 /// Version written into every checkpoint header.
-pub const CHECKPOINT_SCHEMA: u64 = 2;
+pub const CHECKPOINT_SCHEMA: u64 = 3;
 
 /// The checkpointable pipeline stages, in execution order.
 ///
@@ -578,13 +580,23 @@ impl Wire for bool {
 
 impl Wire for String {
     fn put(&self, w: &mut Vec<u8>) {
-        put_varint(w, self.len() as u64);
-        w.extend_from_slice(self.as_bytes());
+        put_str(w, self);
     }
     fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
-        let n = r.len()?;
-        String::from_utf8(r.take(n)?.to_vec()).map_err(|_| "string is not UTF-8".to_string())
+        get_str_ref(r).map(str::to_string)
     }
+}
+
+/// A string's encoding: its length, then its bytes.
+fn put_str(w: &mut Vec<u8>, s: &str) {
+    put_varint(w, s.len() as u64);
+    w.extend_from_slice(s.as_bytes());
+}
+
+/// Decodes a string in place, borrowing the payload's bytes.
+fn get_str_ref<'a>(r: &mut WireReader<'a>) -> Result<&'a str, String> {
+    let n = r.len()?;
+    std::str::from_utf8(r.take(n)?).map_err(|_| "string is not UTF-8".to_string())
 }
 
 impl<T: Wire> Wire for Option<T> {
@@ -719,10 +731,8 @@ macro_rules! wire_struct {
 wire_struct! {
     IngestStats { lines, entries, quarantined, malformed, invalid_utf8 }
     DedupStats { input, removed, kept, poison, degraded_shards }
-    QueryTemplate { ssc, sfc, swc, sc, fc, wc, tail, full, fingerprint, triple_fingerprint }
     PredicateProfile { conjuncts }
     OutputColumns { wildcard, names }
-    ParsedRecord { entry_idx, template, profile, output, primary_table }
     ParseStats { total, selects, errors, limit_exceeded, poison, degraded_shards, non_select }
     ParseCacheStats { enabled, hits, misses, fallbacks, crosschecks }
     ParsedLog { records, stats, cache }
@@ -791,6 +801,97 @@ wire_enum! {
         3 => CthCandidate,
         4 => Snc,
         5 => Custom(name),
+    }
+}
+
+/// A template is its skeleton text and clause ranges; the fingerprints
+/// are recomputed on decode.
+impl Wire for QueryTemplate {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.full.put(w);
+        for range in self.clause_ranges() {
+            range.start.put(w);
+            range.end.put(w);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        let full = String::get(r)?;
+        let mut range = || -> Result<Range<u32>, String> { Ok(u32::get(r)?..u32::get(r)?) };
+        let clauses = [range()?, range()?, range()?];
+        QueryTemplate::from_parts(full, clauses)
+            .ok_or_else(|| "template clause range outside its text".to_string())
+    }
+}
+
+/// Facts carry blank literal slots; their count is recomputed on decode.
+impl Wire for TemplateFacts {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.profile.put(w);
+        self.output.put(w);
+        self.primary_table.put(w);
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        Ok(TemplateFacts::new(
+            Wire::get(r)?,
+            Wire::get(r)?,
+            Wire::get(r)?,
+        ))
+    }
+}
+
+/// The facts table once, then per record: the gap from the previous
+/// record's entry index, the template id shifted left one bit with the low
+/// bit set when the record has facts of its own (their index follows), and
+/// the texts of its literal slots.
+impl Wire for ParsedRecords {
+    fn put(&self, w: &mut Vec<u8>) {
+        self.facts.put(w);
+        put_varint(w, self.rows.len() as u64);
+        let mut prev = 0u32;
+        for row in &self.rows {
+            put_varint(w, u64::from(row.entry_idx.wrapping_sub(prev)));
+            prev = row.entry_idx;
+            let own = row.facts != row.template.0;
+            put_varint(w, u64::from(row.template.0) << 1 | u64::from(own));
+            if own {
+                row.facts.put(w);
+            }
+            for k in 0..self.facts[row.facts as usize].literals as usize {
+                put_str(w, self.lits.get(row.lits as usize + k));
+            }
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> Result<Self, String> {
+        let facts = Vec::<TemplateFacts>::get(r)?;
+        let n = r.len()?;
+        let mut rows = Vec::with_capacity(n);
+        let mut lits = Literals::default();
+        let mut prev = 0u32;
+        for _ in 0..n {
+            let entry_idx = prev.wrapping_add(u32::get(r)?);
+            prev = entry_idx;
+            let tagged = u64::get(r)?;
+            let template = u32::try_from(tagged >> 1).map_err(|e| e.to_string())?;
+            let facts_idx = if tagged & 1 == 1 {
+                u32::get(r)?
+            } else {
+                template
+            };
+            let f = facts
+                .get(facts_idx as usize)
+                .ok_or_else(|| format!("record facts {facts_idx} out of bounds"))?;
+            let first = u32::try_from(lits.len()).map_err(|e| e.to_string())?;
+            for _ in 0..f.literals {
+                lits.push(get_str_ref(r)?);
+            }
+            rows.push(ParsedRecord {
+                entry_idx,
+                template: TemplateId(template),
+                facts: facts_idx,
+                lits: first,
+            });
+        }
+        Ok(ParsedRecords { rows, facts, lits })
     }
 }
 

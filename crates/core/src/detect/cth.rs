@@ -33,9 +33,10 @@ impl Detector for CthDetector {
             let mut k = 0usize;
             while k < recs.len() {
                 let src_ri = recs[k];
-                let src = &ctx.records[src_ri];
+                let src = ctx.records.view(src_ri);
+                let src_output = src.output();
                 // A source must produce *something* a follow-up could use.
-                if !src.output.wildcard && src.output.names.is_empty() {
+                if !src_output.wildcard && src_output.names.is_empty() {
                     k += 1;
                     continue;
                 }
@@ -47,16 +48,16 @@ impl Detector for CthDetector {
                     .take(recs.len().min(k + 1 + lookahead))
                     .skip(k + 1)
                 {
-                    let f = &ctx.records[f_ri];
+                    let f = ctx.records.view(f_ri);
                     // Def. 15: SQ₁ ≠ SQ₂, CP = 1, θ = equality.
-                    if f.template == src.template {
+                    if f.template() == src.template() {
                         break;
                     }
-                    let Some((col, _value)) = f.profile.single_equality() else {
+                    let Some((col, _value)) = f.single_equality() else {
                         break;
                     };
                     // The constant must be an attribute the source produced.
-                    if !src.output.may_contain(col) {
+                    if !src_output.may_contain(col) {
                         break;
                     }
                     // Close in time: a hunt is a software loop, not a visit
@@ -66,8 +67,8 @@ impl Detector for CthDetector {
                         break;
                     }
                     followups.push(f_ri);
-                    if !follow_tpls.contains(&f.template) {
-                        follow_tpls.push(f.template);
+                    if !follow_tpls.contains(&f.template()) {
+                        follow_tpls.push(f.template());
                     }
                 }
                 if followups.is_empty() {
@@ -80,13 +81,15 @@ impl Detector for CthDetector {
                 records.extend_from_slice(&followups);
 
                 // Identity: source template + distinct follow-up templates.
-                let mut identity = vec![src.template];
+                let mut identity = vec![src.template()];
                 identity.extend(follow_tpls.iter().copied());
 
                 // Marker keys: each (source, follow-up) pair plus the full
                 // distinct sequence.
-                let mut marker_keys: Vec<Vec<TemplateId>> =
-                    follow_tpls.iter().map(|&f| vec![src.template, f]).collect();
+                let mut marker_keys: Vec<Vec<TemplateId>> = follow_tpls
+                    .iter()
+                    .map(|&f| vec![src.template(), f])
+                    .collect();
                 if identity.len() > 2 {
                     marker_keys.push(identity.clone());
                 }

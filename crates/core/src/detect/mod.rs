@@ -13,7 +13,7 @@ pub mod stifle;
 
 use crate::config::PipelineConfig;
 use crate::mine::Session;
-use crate::parse_step::ParsedRecord;
+use crate::records::ParsedRecords;
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_catalog::Catalog;
 use sqlog_log::LogView;
@@ -83,9 +83,9 @@ pub struct AntipatternInstance {
 pub struct DetectCtx<'a> {
     /// The pre-cleaned log, as a view over the original entries.
     pub log: &'a LogView<'a>,
-    /// Parsed records (all of them — `records[ri]` stays valid for every
-    /// session, sharded or not).
-    pub records: &'a [ParsedRecord],
+    /// Parsed records (all of them — `records[ri]` and
+    /// `records.view(ri)` stay valid for every session, sharded or not).
+    pub records: &'a ParsedRecords,
     /// The per-user sessions this detector invocation should scan (a shard
     /// of the full session list, or all of it).
     pub sessions: &'a [Session],

@@ -22,15 +22,15 @@ impl Detector for SncDetector {
         let mut out = Vec::new();
         for session in ctx.sessions {
             for &ri in &session.records {
-                let rec = &ctx.records[ri];
-                if rec.profile.null_comparisons().is_empty() {
+                let rec = ctx.records.view(ri);
+                if rec.null_comparisons().is_empty() {
                     continue;
                 }
                 out.push(AntipatternInstance {
                     class: AntipatternClass::Snc,
                     records: vec![ri],
-                    identity: vec![rec.template],
-                    marker_keys: vec![vec![rec.template]],
+                    identity: vec![rec.template()],
+                    marker_keys: vec![vec![rec.template()]],
                     solvable: true,
                 });
             }

@@ -12,9 +12,8 @@
 //! Runs shorter than two queries are not instances.
 
 use super::{AntipatternClass, AntipatternInstance, DetectCtx, Detector};
-use crate::parse_step::ParsedRecord;
 use crate::store::{TemplateId, TemplateStore};
-use sqlog_skeleton::ValueKind;
+use sqlog_skeleton::ValueRef;
 
 /// Detects the three Stifle classes.
 pub struct StifleDetector;
@@ -23,25 +22,24 @@ pub struct StifleDetector;
 struct Shape<'a> {
     template: TemplateId,
     column: &'a str,
-    value: &'a ValueKind,
+    value: ValueRef<'a>,
 }
 
-fn shape<'a>(ctx: &DetectCtx<'_>, rec: &'a ParsedRecord) -> Option<Shape<'a>> {
-    let (column, value) = rec.profile.single_equality()?;
+fn shape<'a>(ctx: &DetectCtx<'a>, ri: usize) -> Option<Shape<'a>> {
+    let rec = ctx.records.view(ri);
+    let (column, value) = rec.single_equality()?;
     // Def. 11: θ is equality on a *constant* (the log records values, and
     // the DW merge needs literals), and filCol is a key attribute.
     if !value.is_constant() {
         return None;
     }
     if ctx.config.require_key_attribute
-        && !ctx
-            .catalog
-            .is_key_attribute(rec.primary_table.as_deref(), column)
+        && !ctx.catalog.is_key_attribute(rec.primary_table(), column)
     {
         return None;
     }
     Some(Shape {
-        template: rec.template,
+        template: rec.template(),
         column,
         value,
     })
@@ -61,9 +59,9 @@ fn relation(store: &TemplateStore, a: &Shape<'_>, b: &Shape<'_>) -> Option<Antip
     }
     store.with(a.template, |ta| {
         store.with(b.template, |tb| {
-            if ta.sfc == tb.sfc && ta.ssc != tb.ssc && ta.swc == tb.swc {
+            if ta.sfc() == tb.sfc() && ta.ssc() != tb.ssc() && ta.swc() == tb.swc() {
                 Some(AntipatternClass::DsStifle)
-            } else if ta.sfc != tb.sfc && ta.swc == tb.swc {
+            } else if ta.sfc() != tb.sfc() && ta.swc() == tb.swc() {
                 Some(AntipatternClass::DfStifle)
             } else {
                 None
@@ -129,7 +127,7 @@ impl Detector for StifleDetector {
             let recs = &session.records;
             let mut i = 0usize;
             while i < recs.len() {
-                let Some(first) = shape(ctx, &ctx.records[recs[i]]) else {
+                let Some(first) = shape(ctx, recs[i]) else {
                     i += 1;
                     continue;
                 };
@@ -139,7 +137,7 @@ impl Detector for StifleDetector {
                 let mut prev = first;
                 let mut j = i + 1;
                 while j < recs.len() {
-                    let Some(cur) = shape(ctx, &ctx.records[recs[j]]) else {
+                    let Some(cur) = shape(ctx, recs[j]) else {
                         break;
                     };
                     let Some(rel) = relation(ctx.store, &prev, &cur) else {

@@ -8,7 +8,8 @@
 //! 1. **delete duplicates** — identical statements from one user within a
 //!    small time window ([`dedup`]),
 //! 2. **parse statements** — drop syntax errors and non-SELECTs, build
-//!    skeletons and intern templates ([`parse_step`], [`store`]),
+//!    skeletons, intern templates and store each template's facts once
+//!    ([`parse_step`], [`store`], [`records`]),
 //! 3. **mine patterns** — per-user sessions, frequency and userPopularity
 //!    ([`mine`]),
 //! 4. **detect antipatterns** — DW/DS/DF-Stifle, CTH candidates, SNC, plus
@@ -60,6 +61,7 @@ mod parse_cache;
 pub mod parse_step;
 pub mod pipeline;
 pub mod recommend;
+pub mod records;
 pub mod report;
 pub mod run_report;
 pub mod shard;
@@ -78,9 +80,10 @@ pub use detect::{AntipatternClass, AntipatternInstance, DetectCtx, Detector};
 pub use ext::{ExtensionRegistry, Solver};
 pub use ingest::{ingest_file_traced, ingest_slice_traced};
 pub use mine::{MinedPatterns, PatternData, Session, Sessions};
-pub use parse_step::{ParseCacheStats, ParseStats, ParsedLog, ParsedRecord};
+pub use parse_step::{ParseCacheStats, ParseStats, ParsedLog};
 pub use pipeline::{DetectOutput, Pipeline, PipelineResult};
 pub use recommend::{evaluate_against_marks, RecommendationEval, Recommender};
+pub use records::{ParsedRecord, ParsedRecords, RecordView};
 pub use report::{render_pattern_table, render_statistics, top_patterns, PatternRow};
 pub use run_report::{statistics_from_json, statistics_to_json, RunReport, RUN_REPORT_SCHEMA};
 pub use shard::{

@@ -31,7 +31,7 @@
 
 use crate::config::PipelineConfig;
 use crate::fault;
-use crate::parse_step::ParsedRecord;
+use crate::records::{ParsedRecord, ParsedRecords};
 use crate::shard::{
     balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
 };
@@ -368,7 +368,7 @@ impl PatternCounter {
     /// Mines a slice of sessions (one shard's worth).
     fn mine_sessions(
         sessions: &[Session],
-        records: &[ParsedRecord],
+        records: &ParsedRecords,
         max_ngram: usize,
     ) -> PatternCounter {
         let fault = fault::armed("mine");
@@ -391,7 +391,7 @@ impl PatternCounter {
     /// shard counters.
     fn mine_sessions_isolated(
         sessions: &[Session],
-        records: &[ParsedRecord],
+        records: &ParsedRecords,
         max_ngram: usize,
     ) -> (Vec<PatternCounter>, usize) {
         let fault = fault::armed("mine");
@@ -418,10 +418,10 @@ impl PatternCounter {
 
 /// Mining sees template ids, not statement text, so the fault-injection
 /// marker is matched against each record's primary table name instead.
-fn trip_session(fault: &Option<String>, session: &Session, records: &[ParsedRecord]) {
+fn trip_session(fault: &Option<String>, session: &Session, records: &ParsedRecords) {
     if fault.is_some() {
         for &ri in &session.records {
-            if let Some(t) = records[ri].primary_table.as_deref() {
+            if let Some(t) = records.view(ri).primary_table() {
                 fault::trip(fault, t);
             }
         }
@@ -461,7 +461,7 @@ fn merge_counters(counters: Vec<PatternCounter>) -> MinedPatterns {
 /// outcome counters land in the config's recorder.
 pub(crate) fn mine_stage(
     sessions: &Sessions,
-    records: &[ParsedRecord],
+    records: &ParsedRecords,
     config: &PipelineConfig,
     parent: Option<SpanId>,
 ) -> MinedPatterns {
@@ -535,7 +535,7 @@ mod tests {
         }
     }
 
-    fn parse(log: &QueryLog, store: &TemplateStore) -> Vec<ParsedRecord> {
+    fn parse(log: &QueryLog, store: &TemplateStore) -> ParsedRecords {
         parse_stage(&LogView::identity(log), store, &config(1), None).records
     }
 
@@ -547,11 +547,11 @@ mod tests {
         sessions_stage(&LogView::identity(log), records, &config, None)
     }
 
-    fn mine(sessions: &Sessions, records: &[ParsedRecord], threads: usize) -> MinedPatterns {
+    fn mine(sessions: &Sessions, records: &ParsedRecords, threads: usize) -> MinedPatterns {
         mine_stage(sessions, records, &config(threads), None)
     }
 
-    fn log_of(rows: &[(&str, i64, &str)]) -> (QueryLog, Vec<ParsedRecord>, TemplateStore) {
+    fn log_of(rows: &[(&str, i64, &str)]) -> (QueryLog, ParsedRecords, TemplateStore) {
         let log = QueryLog::from_entries(
             rows.iter()
                 .enumerate()

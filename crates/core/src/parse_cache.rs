@@ -10,10 +10,11 @@
 //! Each parse worker owns a [`ShapeCache`] mapping a statement's
 //! [`RawKey`] — an allocation-free, literal-normalized hash of its raw
 //! bytes (see [`sqlog_skeleton::rawkey`]) — to the parse outcome of the
-//! first statement seen with that key. On a hit, the cached facts are
-//! reused and only the literal-*dependent* slots of the predicate profile
-//! are re-extracted by slicing the recorded literal spans out of the new
-//! statement's text — no lexing, no parsing, no skeleton rendering.
+//! first statement seen with that key. On a hit, the record reuses the
+//! cached template and facts entry, and its literals are appended to the
+//! worker's arena by slicing the recorded literal spans out of the new
+//! statement's text — no lexing, no parsing, no skeleton rendering, and no
+//! allocation of its own.
 //!
 //! # Soundness
 //!
@@ -22,14 +23,15 @@
 //! Which profile slots are literal-dependent is discovered by a one-time
 //! **sentinel probe** per shape: the first statement's literals are
 //! replaced by unique sentinel values, the probe is fully parsed, and the
-//! slots where the sentinels surface become the substitution recipe. The
-//! probe must reproduce the cached template fingerprint, output columns,
-//! primary table and conjunct shapes exactly — any deviation (e.g. a
-//! literal that leaks into the skeleton, like a `CAST(x AS varchar(12))`
-//! type size) marks the shape [`CacheEntry::Uncacheable`] and every
-//! statement of that shape falls back to a full parse. As a final guard
-//! the recipe is replayed against the first statement itself and must
-//! reproduce its own profile byte-for-byte.
+//! slots where the sentinels surface become the substitution recipe, one
+//! step per Number/String slot in the records' slot order. The probe must
+//! reproduce the cached template fingerprint, output columns, primary table
+//! and conjunct shapes exactly — any deviation (e.g. a literal that leaks
+//! into the skeleton, like a `CAST(x AS varchar(12))` type size) marks the
+//! shape [`CacheEntry::Uncacheable`] and every statement of that shape
+//! falls back to a full parse. As a final guard the recipe is replayed
+//! against the first statement itself and must reproduce its own literals
+//! byte-for-byte.
 //!
 //! Statements the scanner cannot key (unterminated constructs), oversized
 //! statements, and uncacheable shapes all take the fallback path, so the
@@ -37,7 +39,8 @@
 //! additionally cross-check the first `CROSSCHECK_HITS` (64) hits per
 //! worker against a full parse.
 
-use crate::parse_step::{parse_one, Outcome, ParsedRecord};
+use crate::parse_step::{parse_one, Outcome};
+use crate::records::{index_u32, Literals, ParsedRecord, ShardRecords};
 use crate::store::{TemplateId, TemplateStore};
 use sqlog_skeleton::{
     primary_table, raw_shape_scan, Fingerprint, FnvHashMap, OutputColumns, PredicateKind,
@@ -45,16 +48,11 @@ use sqlog_skeleton::{
 };
 use sqlog_sql::{parse_statements_with, ParseLimits, Statement, StatementKind};
 
-/// One literal-dependent slot of a cached predicate profile: on a hit,
-/// conjunct `conjunct` / slot `slot` is overwritten with the text of the
-/// new statement's `lit`-th scanned literal.
+/// One Number/String slot of a cached shape: on a hit, the record's next
+/// literal is the text of the new statement's `lit`-th scanned literal.
+/// A recipe holds one per slot, in slot order.
 #[derive(Debug, Clone, Copy)]
 struct Subst {
-    /// Index into `PredicateProfile::conjuncts`.
-    conjunct: u32,
-    /// Slot within the conjunct: comparison value / LIKE pattern = 0,
-    /// BETWEEN low = 0 and high = 1, IN-list element = its index.
-    slot: u32,
     /// Index into the statement's scanned literals (statement order).
     lit: u32,
     /// The profile folds a leading unary minus into the number text
@@ -64,17 +62,18 @@ struct Subst {
     is_string: bool,
 }
 
-/// Cached facts for the SELECT shape behind one raw key.
+/// What the cache knows about the SELECT shape behind one raw key.
 #[derive(Debug, Clone)]
 struct SelectEntry {
     template: TemplateId,
     fingerprint: Fingerprint,
-    output: OutputColumns,
-    primary_table: Option<String>,
-    profile: PredicateProfile,
+    /// The worker's facts entry for the shape's first statement.
+    facts: u32,
     /// Entry index of the first statement seen with this key, used to
     /// build the sentinel probe lazily on the first hit.
     first_idx: u32,
+    /// Index of the first statement's first literal in the worker's arena.
+    first_lits: u32,
     /// Substitution recipe; `None` until the first hit builds it.
     substs: Option<Vec<Subst>>,
 }
@@ -126,8 +125,9 @@ pub(crate) struct ShapeCache {
 
 impl ShapeCache {
     /// Approximate bytes held by this worker's cache: the hash-map index
-    /// at capacity, the boxed SELECT entries with their heap-owned parts,
-    /// and the literal scratch buffer. Memory accounting only — not an
+    /// at capacity, the boxed SELECT entries with their recipes, and the
+    /// literal scratch buffer. The facts and literals the entries point at
+    /// belong to the worker's records. Memory accounting only — not an
     /// allocator-exact figure.
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -135,8 +135,6 @@ impl ShapeCache {
         for e in self.map.values() {
             if let CacheEntry::Select(s) = e {
                 bytes += size_of::<SelectEntry>();
-                bytes += s.primary_table.as_deref().map_or(0, str::len);
-                bytes += s.profile.conjuncts.capacity() * size_of::<PredicateKind>();
                 bytes += s
                     .substs
                     .as_ref()
@@ -146,12 +144,13 @@ impl ShapeCache {
         bytes + self.scratch.capacity() * size_of::<RawLiteral>()
     }
 
-    /// Parses one statement through the cache. `statement_of` resolves an
-    /// entry index back to its text (for the lazy sentinel probe).
+    /// Parses one statement through the cache; a SELECT becomes a record
+    /// of `out`. `statement_of` resolves an entry index back to its text
+    /// (for the lazy sentinel probe).
     pub(crate) fn parse_one_cached<'v>(
         &mut self,
+        out: &mut ShardRecords,
         store: &TemplateStore,
-        memo: &mut FnvHashMap<Fingerprint, TemplateId>,
         limits: &ParseLimits,
         entry_idx: u32,
         sql: &str,
@@ -161,28 +160,27 @@ impl ShapeCache {
         // limit counters agree with the uncached path.
         if sql.len() > limits.max_statement_bytes {
             self.fallbacks += 1;
-            return parse_one(store, memo, limits, entry_idx, sql);
+            return parse_one(out, store, limits, entry_idx, sql);
         }
         self.scratch.clear();
         let mut lits = std::mem::take(&mut self.scratch);
         let Some(key) = raw_shape_scan(sql, &mut lits) else {
             self.scratch = lits;
             self.fallbacks += 1;
-            return parse_one(store, memo, limits, entry_idx, sql);
+            return parse_one(out, store, limits, entry_idx, sql);
         };
 
         let outcome = match self.map.get_mut(&key) {
             None => {
                 self.misses += 1;
-                let outcome = parse_one(store, memo, limits, entry_idx, sql);
+                let outcome = parse_one(out, store, limits, entry_idx, sql);
                 let entry = match &outcome {
                     Outcome::Select(rec) => CacheEntry::Select(Box::new(SelectEntry {
                         template: rec.template,
                         fingerprint: store.with(rec.template, |t| t.fingerprint),
-                        output: rec.output.clone(),
-                        primary_table: rec.primary_table.clone(),
-                        profile: rec.profile.clone(),
+                        facts: rec.facts,
                         first_idx: entry_idx,
+                        first_lits: rec.lits,
                         substs: None,
                     })),
                     Outcome::NonSelect(kind) => CacheEntry::NonSelect(*kind),
@@ -202,56 +200,83 @@ impl ShapeCache {
             }
             Some(CacheEntry::Uncacheable) => {
                 self.fallbacks += 1;
-                parse_one(store, memo, limits, entry_idx, sql)
+                parse_one(out, store, limits, entry_idx, sql)
             }
             Some(CacheEntry::Select(entry)) => {
                 // Build the recipe lazily on the first hit; a failed build
                 // leaves `substs` as `None` and demotes the shape below.
                 if entry.substs.is_none() {
-                    entry.substs = build_recipe(entry, limits, statement_of(entry.first_idx));
+                    entry.substs = build_recipe(entry, out, limits, statement_of(entry.first_idx));
                 }
-                let rebuilt = entry
+                let first = out.lits.len();
+                let filled = entry
                     .substs
                     .as_deref()
-                    .and_then(|substs| rebuild_profile(&entry.profile, substs, sql, &lits))
-                    .map(|profile| ParsedRecord {
-                        entry_idx,
-                        template: entry.template,
-                        profile,
-                        output: entry.output.clone(),
-                        primary_table: entry.primary_table.clone(),
-                    });
-                match rebuilt {
-                    Some(rec) => {
+                    .and_then(|substs| push_literals(&mut out.lits, substs, sql, &lits));
+                match filled {
+                    Some(()) => {
+                        let rec = ParsedRecord {
+                            entry_idx,
+                            template: entry.template,
+                            facts: entry.facts,
+                            lits: index_u32(first),
+                        };
                         self.hits += 1;
                         #[cfg(debug_assertions)]
                         if self.crosschecks < CROSSCHECK_HITS {
                             self.crosschecks += 1;
-                            match parse_one(store, memo, limits, entry_idx, sql) {
-                                Outcome::Select(fresh) => assert_eq!(
-                                    *fresh, rec,
-                                    "parse-cache cross-check mismatch at entry {entry_idx}",
-                                ),
-                                _ => panic!(
-                                    "parse-cache cross-check: cached SELECT but full parse \
-                                     produced a different outcome at entry {entry_idx}"
-                                ),
-                            }
+                            crosscheck(out, &rec, store, limits, sql);
                         }
-                        Outcome::Select(Box::new(rec))
+                        Outcome::Select(rec)
                     }
                     None => {
                         // Recipe build or span decode failed — demote the
                         // shape rather than trust it.
+                        out.lits.truncate(first);
                         self.map.insert(key, CacheEntry::Uncacheable);
                         self.fallbacks += 1;
-                        parse_one(store, memo, limits, entry_idx, sql)
+                        parse_one(out, store, limits, entry_idx, sql)
                     }
                 }
             }
         };
         self.scratch = lits;
         outcome
+    }
+}
+
+/// Debug builds: a cache hit must equal a full parse of its statement —
+/// same template, equal facts, equal literals.
+#[cfg(debug_assertions)]
+fn crosscheck(
+    out: &ShardRecords,
+    rec: &ParsedRecord,
+    store: &TemplateStore,
+    limits: &ParseLimits,
+    sql: &str,
+) {
+    let entry_idx = rec.entry_idx;
+    let mut fresh_out = ShardRecords::default();
+    match parse_one(&mut fresh_out, store, limits, entry_idx, sql) {
+        Outcome::Select(fresh) => {
+            assert_eq!(
+                (
+                    fresh.template,
+                    &fresh_out.facts[fresh.facts as usize],
+                    fresh_out.literals(&fresh)
+                ),
+                (
+                    rec.template,
+                    &out.facts[rec.facts as usize],
+                    out.literals(rec)
+                ),
+                "parse-cache cross-check mismatch at entry {entry_idx}",
+            );
+        }
+        _ => panic!(
+            "parse-cache cross-check: cached SELECT but full parse produced a different \
+             outcome at entry {entry_idx}"
+        ),
     }
 }
 
@@ -264,7 +289,13 @@ const SENT_STR: &str = "sqlog.sentinel.";
 
 /// Builds the substitution recipe for a cached SELECT shape, or `None`
 /// when the shape cannot be certified (then it becomes uncacheable).
-fn build_recipe(entry: &SelectEntry, limits: &ParseLimits, first_sql: &str) -> Option<Vec<Subst>> {
+fn build_recipe(
+    entry: &SelectEntry,
+    out: &ShardRecords,
+    limits: &ParseLimits,
+    first_sql: &str,
+) -> Option<Vec<Subst>> {
+    let facts = &out.facts[entry.facts as usize];
     let mut a_lits = Vec::new();
     raw_shape_scan(first_sql, &mut a_lits)?;
 
@@ -301,30 +332,31 @@ fn build_recipe(entry: &SelectEntry, limits: &ParseLimits, first_sql: &str) -> O
     // The probe must be shape-identical to the cached statement; a literal
     // that leaks into any of these facts makes the shape uncacheable.
     if QueryTemplate::of_query(q).fingerprint != entry.fingerprint
-        || OutputColumns::of_select(&q.body) != entry.output
-        || primary_table(&q.body) != entry.primary_table
+        || OutputColumns::of_select(&q.body) != facts.output
+        || primary_table(&q.body) != facts.primary_table
     {
         return None;
     }
     let probe_profile = PredicateProfile::of_select(&q.body);
-    if probe_profile.conjuncts.len() != entry.profile.conjuncts.len() {
+    if probe_profile.conjuncts.len() != facts.profile.conjuncts.len() {
         return None;
     }
     let mut substs = Vec::new();
-    for (ci, (a, p)) in entry
-        .profile
-        .conjuncts
-        .iter()
-        .zip(&probe_profile.conjuncts)
-        .enumerate()
-    {
-        zip_conjunct(ci as u32, a, p, &sentinels, &mut substs)?;
+    for (a, p) in facts.profile.conjuncts.iter().zip(&probe_profile.conjuncts) {
+        zip_conjunct(a, p, &sentinels, &mut substs)?;
+    }
+    // Every literal slot of the records must come from the statement.
+    if substs.len() != facts.literals as usize {
+        return None;
     }
 
     // Replaying the recipe over the first statement itself must reproduce
-    // its own profile exactly — this catches any span misalignment before
+    // its own literals exactly — this catches any span misalignment before
     // the recipe is ever applied to another statement.
-    if rebuild_profile(&entry.profile, &substs, first_sql, &a_lits)? != entry.profile {
+    let mut replay = Literals::default();
+    push_literals(&mut replay, &substs, first_sql, &a_lits)?;
+    let first = entry.first_lits as usize;
+    if (0..substs.len()).any(|k| replay.get(k) != out.lits.get(first + k)) {
         return None;
     }
     Some(substs)
@@ -334,7 +366,6 @@ fn build_recipe(entry: &SelectEntry, limits: &ParseLimits, first_sql: &str) -> O
 /// must match exactly, and every slot where a sentinel surfaced becomes a
 /// substitution.
 fn zip_conjunct(
-    ci: u32,
     a: &PredicateKind,
     p: &PredicateKind,
     sentinels: &[String],
@@ -353,7 +384,7 @@ fn zip_conjunct(
                 theta: tp,
                 value: vp,
             },
-        ) if ca == cp && ta == tp => zip_value(ci, 0, va, vp, sentinels, out),
+        ) if ca == cp && ta == tp => zip_value(va, vp, sentinels, out),
         (
             P::Between {
                 column: ca,
@@ -368,8 +399,8 @@ fn zip_conjunct(
                 negated: np,
             },
         ) if ca == cp && na == np => {
-            zip_value(ci, 0, la, lp, sentinels, out)?;
-            zip_value(ci, 1, ha, hp, sentinels, out)
+            zip_value(la, lp, sentinels, out)?;
+            zip_value(ha, hp, sentinels, out)
         }
         (
             P::InList {
@@ -383,8 +414,8 @@ fn zip_conjunct(
                 negated: np,
             },
         ) if ca == cp && na == np && va.len() == vp.len() => {
-            for (i, (x, y)) in va.iter().zip(vp).enumerate() {
-                zip_value(ci, i as u32, x, y, sentinels, out)?;
+            for (x, y) in va.iter().zip(vp) {
+                zip_value(x, y, sentinels, out)?;
             }
             Some(())
         }
@@ -409,7 +440,7 @@ fn zip_conjunct(
                 pattern: pp,
                 negated: np,
             },
-        ) if ca == cp && na == np => zip_value(ci, 0, pa, pp, sentinels, out),
+        ) if ca == cp && na == np => zip_value(pa, pp, sentinels, out),
         (P::Other, P::Other) => Some(()),
         _ => None,
     }
@@ -419,8 +450,6 @@ fn zip_conjunct(
 /// literal-dependent (and the cached side must hold the matching literal
 /// kind); anything else must be byte-identical between probe and cache.
 fn zip_value(
-    ci: u32,
-    slot: u32,
     a: &ValueKind,
     p: &ValueKind,
     sentinels: &[String],
@@ -436,8 +465,6 @@ fn zip_value(
                 return match a {
                     ValueKind::Number(_) => {
                         out.push(Subst {
-                            conjunct: ci,
-                            slot,
                             lit: k as u32,
                             negate,
                             is_string: false,
@@ -456,8 +483,6 @@ fn zip_value(
                 return match a {
                     ValueKind::String(_) => {
                         out.push(Subst {
-                            conjunct: ci,
-                            slot,
                             lit: k as u32,
                             negate: false,
                             is_string: true,
@@ -488,93 +513,93 @@ fn find_sentinel(text: &str, kind: RawLiteralKind, sentinels: &[String]) -> Opti
     (sentinels.get(k)? == text).then_some(k)
 }
 
-/// Applies a substitution recipe: clones `base` and overwrites each
-/// literal-dependent slot with the text of `sql`'s corresponding literal.
-fn rebuild_profile(
-    base: &PredicateProfile,
+/// Applies a substitution recipe: appends the text of each slot's literal
+/// of `sql` to `arena`, in slot order. `None` when a span does not fit its
+/// slot; the arena then holds a partial record the caller truncates.
+fn push_literals(
+    arena: &mut Literals,
     substs: &[Subst],
     sql: &str,
     lits: &[RawLiteral],
-) -> Option<PredicateProfile> {
-    let mut profile = base.clone();
+) -> Option<()> {
     for s in substs {
         let lit = lits.get(s.lit as usize)?;
-        let value = match (lit.kind, s.is_string) {
-            (RawLiteralKind::String { .. }, true) => ValueKind::String(lit.value(sql)?),
-            (RawLiteralKind::Number, false) if s.negate => {
-                ValueKind::Number(format!("-{}", lit.text(sql)?))
+        arena.push_with(|text| match (lit.kind, s.is_string) {
+            (RawLiteralKind::String { .. }, true) => lit.push_value(sql, text),
+            (RawLiteralKind::Number, false) => {
+                // The profile folds a leading unary minus into the number.
+                if s.negate {
+                    text.push('-');
+                }
+                lit.push_value(sql, text)
             }
-            (RawLiteralKind::Number, false) => ValueKind::Number(lit.value(sql)?),
-            _ => return None,
-        };
-        *slot_mut(&mut profile, s.conjunct, s.slot)? = value;
+            _ => None,
+        })?;
     }
-    Some(profile)
-}
-
-/// Mutable access to the value slot `(conjunct, slot)` of a profile.
-fn slot_mut(p: &mut PredicateProfile, conjunct: u32, slot: u32) -> Option<&mut ValueKind> {
-    match (p.conjuncts.get_mut(conjunct as usize)?, slot) {
-        (PredicateKind::Comparison { value, .. }, 0) => Some(value),
-        (PredicateKind::Between { low, .. }, 0) => Some(low),
-        (PredicateKind::Between { high, .. }, 1) => Some(high),
-        (PredicateKind::InList { values, .. }, i) => values.get_mut(i as usize),
-        (PredicateKind::Like { pattern, .. }, 0) => Some(pattern),
-        _ => None,
-    }
+    Some(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::records::TemplateFacts;
 
-    fn cached_parse(statements: &[&str]) -> (Vec<Outcome>, ShapeCache, TemplateStore) {
+    fn cached_parse(
+        statements: &[&str],
+    ) -> (Vec<Outcome>, ShapeCache, ShardRecords, TemplateStore) {
         let store = TemplateStore::new();
-        let mut memo = FnvHashMap::default();
+        let mut out = ShardRecords::default();
         let mut cache = ShapeCache::default();
         let limits = ParseLimits::default();
         let outcomes = statements
             .iter()
             .enumerate()
             .map(|(i, sql)| {
-                cache.parse_one_cached(&store, &mut memo, &limits, i as u32, sql, &|j| {
+                cache.parse_one_cached(&mut out, &store, &limits, i as u32, sql, &|j| {
                     statements[j as usize]
                 })
             })
             .collect();
-        (outcomes, cache, store)
+        (outcomes, cache, out, store)
     }
 
-    fn full_parse(statements: &[&str]) -> (Vec<Outcome>, TemplateStore) {
+    fn full_parse(statements: &[&str]) -> (Vec<Outcome>, ShardRecords, TemplateStore) {
         let store = TemplateStore::new();
-        let mut memo = FnvHashMap::default();
+        let mut out = ShardRecords::default();
         let limits = ParseLimits::default();
         let outcomes = statements
             .iter()
             .enumerate()
-            .map(|(i, sql)| parse_one(&store, &mut memo, &limits, i as u32, sql))
+            .map(|(i, sql)| parse_one(&mut out, &store, &limits, i as u32, sql))
             .collect();
-        (outcomes, store)
+        (outcomes, out, store)
     }
 
-    fn records(outcomes: &[Outcome]) -> Vec<&ParsedRecord> {
+    /// Each SELECT's entry index, template, facts and literals.
+    fn records<'a>(
+        outcomes: &[Outcome],
+        out: &'a ShardRecords,
+    ) -> Vec<(u32, TemplateId, &'a TemplateFacts, Vec<&'a str>)> {
         outcomes
             .iter()
             .filter_map(|o| match o {
-                Outcome::Select(r) => Some(r.as_ref()),
+                Outcome::Select(r) => Some((
+                    r.entry_idx,
+                    r.template,
+                    &out.facts[r.facts as usize],
+                    (0..out.facts[r.facts as usize].literals as usize)
+                        .map(|k| out.lits.get(r.lits as usize + k))
+                        .collect(),
+                )),
                 _ => None,
             })
             .collect()
     }
 
     fn assert_equivalent(statements: &[&str]) -> ShapeCache {
-        let (cached, cache, _store_c) = cached_parse(statements);
-        let (full, _store_f) = full_parse(statements);
-        let (cached_recs, full_recs) = (records(&cached), records(&full));
-        assert_eq!(cached_recs.len(), full_recs.len());
-        for (c, f) in cached_recs.iter().zip(&full_recs) {
-            assert_eq!(c, f);
-        }
+        let (cached, cache, cached_out, _store_c) = cached_parse(statements);
+        let (full, full_out, _store_f) = full_parse(statements);
+        assert_eq!(records(&cached, &cached_out), records(&full, &full_out));
         cache
     }
 
@@ -623,9 +648,9 @@ mod tests {
             "SELECT CAST(x AS varchar(12)) FROM t WHERE y = 1",
             "SELECT CAST(x AS varchar(99)) FROM t WHERE y = 2",
         ];
-        let (cached, cache, store) = cached_parse(&stmts);
-        let (full, store_f) = full_parse(&stmts);
-        assert_eq!(records(&cached).len(), records(&full).len());
+        let (cached, cache, cached_out, store) = cached_parse(&stmts);
+        let (full, full_out, store_f) = full_parse(&stmts);
+        assert_eq!(records(&cached, &cached_out), records(&full, &full_out));
         // Distinct templates must stay distinct.
         assert_eq!(store.len(), store_f.len());
         assert_eq!(cache.hits, 0);
@@ -634,7 +659,7 @@ mod tests {
 
     #[test]
     fn errors_and_non_selects_are_cached() {
-        let (outcomes, cache, _) = cached_parse(&[
+        let (outcomes, cache, _, _) = cached_parse(&[
             "INSERT INTO t VALUES (1)",
             "INSERT INTO t VALUES (2)",
             "SELECT b FROM",
@@ -648,7 +673,7 @@ mod tests {
 
     #[test]
     fn unkeyable_statements_fall_back() {
-        let (outcomes, cache, _) = cached_parse(&[
+        let (outcomes, cache, _, _) = cached_parse(&[
             "SELECT a FROM t WHERE s = 'unterminated",
             "SELECT a FROM t WHERE s = 'unterminated",
         ]);
@@ -659,7 +684,7 @@ mod tests {
 
     #[test]
     fn differing_shapes_do_not_collide() {
-        let (_, cache, store) = cached_parse(&[
+        let (_, cache, _, store) = cached_parse(&[
             "SELECT a FROM t WHERE x = 1",
             "SELECT a FROM t WHERE x > 1",
             "SELECT a FROM t WHERE x = 1 AND y = 2",
@@ -694,13 +719,13 @@ mod tests {
         };
         let stmts = [in_list(100_000), in_list(200_000)];
         let store = TemplateStore::new();
-        let mut memo = FnvHashMap::default();
+        let mut out = ShardRecords::default();
         let mut cache = ShapeCache::default();
         let limits = ParseLimits::default();
         let statement_of = |j: u32| stmts[j as usize].as_str();
-        let miss = cache.parse_one_cached(&store, &mut memo, &limits, 0, &stmts[0], &statement_of);
+        let miss = cache.parse_one_cached(&mut out, &store, &limits, 0, &stmts[0], &statement_of);
         let start = std::time::Instant::now();
-        let hit = cache.parse_one_cached(&store, &mut memo, &limits, 1, &stmts[1], &statement_of);
+        let hit = cache.parse_one_cached(&mut out, &store, &limits, 1, &stmts[1], &statement_of);
         let elapsed = start.elapsed();
         assert!(matches!(miss, Outcome::Select(_)));
         assert!(matches!(hit, Outcome::Select(_)));

@@ -3,8 +3,9 @@
 //! Every statement of the pre-cleaned log is parsed into a syntax tree.
 //! Statements with syntax errors are excluded (counted), non-SELECT
 //! statements are excluded (counted per kind), and each surviving SELECT is
-//! reduced to a compact [`ParsedRecord`]: its interned template id plus the
-//! predicate facts the detectors need. The full AST is *not* retained —
+//! reduced to a compact [`ParsedRecord`]: its interned template id plus its
+//! literals, with the template-level facts the detectors need stored once
+//! per template (see [`crate::records`]). The full AST is *not* retained —
 //! records must stay small enough for multi-million-entry logs; solvers that
 //! need an AST re-parse the one statement they rewrite.
 //!
@@ -18,36 +19,19 @@
 //! * after the join, template ids are renumbered canonically — id order =
 //!   first appearance in record order — so the ids (which flow into pattern
 //!   keys, marks, and instance identities) are identical for every thread
-//!   count.
+//!   count, and each template's facts are its first record's.
 
 use crate::config::PipelineConfig;
 use crate::fault;
 use crate::parse_cache::ShapeCache;
+use crate::records::{index_u32, Literals, ParsedRecord, ParsedRecords, ShardRecords};
 use crate::shard::{guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace};
 use crate::store::{TemplateId, TemplateStore};
 use serde::{Deserialize, Serialize};
 use sqlog_log::LogView;
 use sqlog_obs::SpanId;
-use sqlog_skeleton::{
-    primary_table, Fingerprint, FnvHashMap, OutputColumns, PredicateProfile, QueryTemplate,
-};
 use sqlog_sql::{parse_statements_with, ParseLimits, Statement, StatementKind};
 use std::collections::HashMap;
-
-/// A parsed SELECT statement, reduced to analysis facts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedRecord {
-    /// Index into the pre-cleaned log's entry vector.
-    pub entry_idx: u32,
-    /// Interned template.
-    pub template: TemplateId,
-    /// Classified WHERE-clause conjuncts.
-    pub profile: PredicateProfile,
-    /// Output columns of the projection.
-    pub output: OutputColumns,
-    /// The single base table, when the FROM clause is one plain table.
-    pub primary_table: Option<String>,
-}
 
 /// Counters from the parse step.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -116,7 +100,7 @@ impl ParseCacheStats {
 #[derive(Debug)]
 pub struct ParsedLog {
     /// Records for the SELECT statements, ordered by log position.
-    pub records: Vec<ParsedRecord>,
+    pub records: ParsedRecords,
     /// Parse statistics.
     pub stats: ParseStats,
     /// Parse-cache effectiveness (all-zero when the cache is disabled).
@@ -124,7 +108,8 @@ pub struct ParsedLog {
 }
 
 pub(crate) enum Outcome {
-    Select(Box<ParsedRecord>),
+    /// A SELECT, as a record of the worker's [`ShardRecords`].
+    Select(ParsedRecord),
     NonSelect(StatementKind),
     Error {
         limit: bool,
@@ -133,9 +118,10 @@ pub(crate) enum Outcome {
     Poison,
 }
 
+/// Parses one statement in full; a SELECT becomes a record of `out`.
 pub(crate) fn parse_one(
+    out: &mut ShardRecords,
     store: &TemplateStore,
-    memo: &mut FnvHashMap<Fingerprint, TemplateId>,
     limits: &ParseLimits,
     entry_idx: u32,
     sql: &str,
@@ -145,26 +131,8 @@ pub(crate) fn parse_one(
             // A log row occasionally contains a `;`-separated batch; the
             // analysis treats the first SELECT as the row's query, matching
             // the one-row-one-query model of the SkyServer log.
-            for stmt in &stmts {
-                if let Statement::Select(q) = stmt {
-                    let tpl = QueryTemplate::of_query(q);
-                    let template = match memo.get(&tpl.fingerprint) {
-                        Some(&id) => id,
-                        None => {
-                            let fp = tpl.fingerprint;
-                            let id = store.intern(tpl);
-                            memo.insert(fp, id);
-                            id
-                        }
-                    };
-                    return Outcome::Select(Box::new(ParsedRecord {
-                        entry_idx,
-                        template,
-                        profile: PredicateProfile::of_select(&q.body),
-                        output: OutputColumns::of_select(&q.body),
-                        primary_table: primary_table(&q.body),
-                    }));
-                }
+            if let Some(q) = stmts.iter().find_map(Statement::as_select) {
+                return Outcome::Select(out.push_select(store, entry_idx, q));
             }
             match stmts.first() {
                 Some(Statement::Other(kind)) => Outcome::NonSelect(*kind),
@@ -255,6 +223,47 @@ pub(crate) fn parse_stage(
     if ranges.is_empty() {
         ranges = whole_range(0);
     }
+    // One worker's pass over its range. `isolate` is the degraded re-run:
+    // each statement under its own panic guard. The worker's memo and
+    // facts only ever gain complete entries and the shape cache inserts
+    // entries only after a successful parse, so a panic mid-record at
+    // worst wastes an entry — never corrupts one; literals a poisoned
+    // statement appended are dropped.
+    let shard = |r: std::ops::Range<usize>, isolate: bool| {
+        let fault = fault::armed("parse");
+        let mut out = ShardRecords::default();
+        let mut cache = config.parse_cache.then(ShapeCache::default);
+        let mut parse = |out: &mut ShardRecords, i: usize| {
+            let sql = &view.entry(i).statement;
+            fault::trip(&fault, sql);
+            match cache.as_mut() {
+                Some(c) => c.parse_one_cached(out, store, &limits, i as u32, sql, &|j| {
+                    view.entry(j as usize).statement.as_str()
+                }),
+                None => parse_one(out, store, &limits, i as u32, sql),
+            }
+        };
+        let outcomes = r
+            .map(|i| {
+                if !isolate {
+                    return parse(&mut out, i);
+                }
+                let mark = out.lits.len();
+                guarded(|| parse(&mut out, i)).unwrap_or_else(|| {
+                    out.lits.truncate(mark);
+                    Outcome::Poison
+                })
+            })
+            .collect::<Vec<_>>();
+        if rec.is_enabled() {
+            // Shard caches die at the join; account their footprint
+            // here, while they still exist (counters sum across shards).
+            if let Some(c) = &cache {
+                rec.counter("mem.parse_cache_bytes", c.approx_bytes() as u64);
+            }
+        }
+        (outcomes, out, cache.map(tally).unwrap_or_default())
+    };
     let (results, degraded) = run_shards_traced(
         ranges,
         ShardTrace {
@@ -264,68 +273,8 @@ pub(crate) fn parse_stage(
             hist_name: "parse.shard_us",
         },
         |r| r.len() as u64,
-        |r| {
-            let fault = fault::armed("parse");
-            let mut memo: FnvHashMap<Fingerprint, TemplateId> = FnvHashMap::default();
-            let mut cache = config.parse_cache.then(ShapeCache::default);
-            let outcomes = r
-                .map(|i| {
-                    let sql = &view.entry(i).statement;
-                    fault::trip(&fault, sql);
-                    parse_one_maybe_cached(
-                        cache.as_mut(),
-                        store,
-                        &mut memo,
-                        &limits,
-                        view,
-                        i as u32,
-                        sql,
-                    )
-                })
-                .collect::<Vec<_>>();
-            if rec.is_enabled() {
-                // Shard caches die at the join; account their footprint
-                // here, while they still exist (counters sum across shards).
-                if let Some(c) = &cache {
-                    rec.counter("mem.parse_cache_bytes", c.approx_bytes() as u64);
-                }
-            }
-            (outcomes, cache.map(tally).unwrap_or_default())
-        },
-        |r| {
-            // Degraded re-run: each statement under its own panic guard.
-            // The memo only caches fingerprint → interned id, and the shape
-            // cache inserts entries only after a successful parse, so a
-            // panic mid-record at worst wastes an entry — never corrupts
-            // one.
-            let fault = fault::armed("parse");
-            let mut memo: FnvHashMap<Fingerprint, TemplateId> = FnvHashMap::default();
-            let mut cache = config.parse_cache.then(ShapeCache::default);
-            let outcomes = r
-                .map(|i| {
-                    let sql = &view.entry(i).statement;
-                    guarded(|| {
-                        fault::trip(&fault, sql);
-                        parse_one_maybe_cached(
-                            cache.as_mut(),
-                            store,
-                            &mut memo,
-                            &limits,
-                            view,
-                            i as u32,
-                            sql,
-                        )
-                    })
-                    .unwrap_or(Outcome::Poison)
-                })
-                .collect::<Vec<_>>();
-            if rec.is_enabled() {
-                if let Some(c) = &cache {
-                    rec.counter("mem.parse_cache_bytes", c.approx_bytes() as u64);
-                }
-            }
-            (outcomes, cache.map(tally).unwrap_or_default())
-        },
+        |r| shard(r, false),
+        |r| shard(r, true),
     );
 
     let mut stats = ParseStats {
@@ -337,17 +286,22 @@ pub(crate) fn parse_stage(
         enabled: config.parse_cache,
         ..ParseCacheStats::default()
     };
-    let mut records = Vec::with_capacity(n);
-    for (outcomes, shard_cache) in results {
+    // Lay the workers' outputs end to end: records, facts candidates and
+    // literal arenas, each worker's indices shifted past its predecessors'.
+    let mut rows = Vec::with_capacity(n);
+    let mut candidates = Vec::new();
+    let mut lits = Literals::default();
+    for (outcomes, shard, shard_cache) in results {
         cache_stats.hits += shard_cache.hits;
         cache_stats.misses += shard_cache.misses;
         cache_stats.fallbacks += shard_cache.fallbacks;
         cache_stats.crosschecks += shard_cache.crosschecks;
+        let (facts_base, lits_base) = (index_u32(candidates.len()), index_u32(lits.len()));
         for outcome in outcomes {
             match outcome {
-                Outcome::Select(rec) => {
+                Outcome::Select(r) => {
                     stats.selects += 1;
-                    records.push(*rec);
+                    rows.push(r.shifted(facts_base, lits_base));
                 }
                 Outcome::NonSelect(kind) => {
                     *stats.non_select.entry(kind).or_default() += 1;
@@ -361,11 +315,16 @@ pub(crate) fn parse_stage(
                 Outcome::Poison => stats.poison += 1,
             }
         }
+        candidates.extend(shard.facts);
+        lits.append(shard.lits);
     }
-    canonicalize_templates(store, preexisting, &mut records);
+    canonicalize_templates(store, preexisting, &mut rows);
+    let records = ParsedRecords::join(rows, candidates, lits, store.len());
     if rec.is_enabled() {
-        // O(#templates) walk — enabled runs only.
+        // Walks of the templates and the records — enabled runs only.
         rec.counter("mem.template_store_bytes", store.approx_bytes() as u64);
+        rec.counter_or_zero("mem.parsed_records_bytes", records.approx_bytes() as u64);
+        rec.counter_or_zero("parse.unfactored_records", records.unfactored() as u64);
     }
     rec.counter("parse.total", stats.total as u64);
     rec.counter("parse.selects", stats.selects as u64);
@@ -391,25 +350,6 @@ pub(crate) fn parse_stage(
         records,
         stats,
         cache: cache_stats,
-    }
-}
-
-/// Routes one statement through the shape cache when enabled, or straight
-/// to the parser otherwise.
-fn parse_one_maybe_cached(
-    cache: Option<&mut ShapeCache>,
-    store: &TemplateStore,
-    memo: &mut FnvHashMap<Fingerprint, TemplateId>,
-    limits: &ParseLimits,
-    view: &LogView<'_>,
-    entry_idx: u32,
-    sql: &str,
-) -> Outcome {
-    match cache {
-        Some(c) => c.parse_one_cached(store, memo, limits, entry_idx, sql, &|i| {
-            view.entry(i as usize).statement.as_str()
-        }),
-        None => parse_one(store, memo, limits, entry_idx, sql),
     }
 }
 
@@ -525,7 +465,7 @@ mod tests {
         let store = TemplateStore::new();
         let parsed = parse(&log, &store, 1);
         assert_eq!(parsed.stats.selects, 1);
-        assert_eq!(parsed.records[0].primary_table.as_deref(), Some("t"));
+        assert_eq!(parsed.records.view(0).primary_table(), Some("t"));
     }
 
     #[test]

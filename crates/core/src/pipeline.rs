@@ -25,7 +25,8 @@ use crate::detect::{
 use crate::ext::ExtensionRegistry;
 use crate::fault;
 use crate::mine::{mine_stage, sessions_stage, MinedPatterns, Sessions};
-use crate::parse_step::{parse_stage, ParsedLog, ParsedRecord};
+use crate::parse_step::{parse_stage, ParsedLog};
+use crate::records::ParsedRecords;
 use crate::shard::{
     balance_chunks, guarded, resolve_threads, run_shards_traced, whole_range, ShardTrace,
 };
@@ -164,7 +165,7 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Stage operator 3a: per-user sessions (§4.1, Def. 7).
-    pub fn op_sessions(&self, pre_clean: &LogView<'_>, records: &[ParsedRecord]) -> Sessions {
+    pub fn op_sessions(&self, pre_clean: &LogView<'_>, records: &ParsedRecords) -> Sessions {
         let rec = &self.config.recorder;
         rec.stage_begin("sessions", records.len() as u64);
         let span = rec.span("sessions");
@@ -172,7 +173,7 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Stage operator 3b: pattern mining (Defs. 8–10).
-    pub fn op_mine(&self, sessions: &Sessions, records: &[ParsedRecord]) -> MinedPatterns {
+    pub fn op_mine(&self, sessions: &Sessions, records: &ParsedRecords) -> MinedPatterns {
         let rec = &self.config.recorder;
         if rec.is_enabled() {
             // Shards report queries as their work unit; sum the same unit
@@ -195,7 +196,7 @@ impl<'a> Pipeline<'a> {
     pub fn op_detect(
         &self,
         pre_clean: &LogView<'_>,
-        records: &[ParsedRecord],
+        records: &ParsedRecords,
         sessions: &Sessions,
         store: &TemplateStore,
     ) -> DetectOutput {
@@ -294,7 +295,7 @@ impl<'a> Pipeline<'a> {
     pub fn op_solve(
         &self,
         pre_clean: &LogView<'_>,
-        records: &[ParsedRecord],
+        records: &ParsedRecords,
         sessions: &Sessions,
         store: &TemplateStore,
         detected: &DetectOutput,
@@ -317,7 +318,7 @@ impl<'a> Pipeline<'a> {
     pub(crate) fn solve_ctx<'c>(
         &'c self,
         pre_clean: &'c LogView<'c>,
-        records: &'c [ParsedRecord],
+        records: &'c ParsedRecords,
         sessions: &'c Sessions,
         store: &'c TemplateStore,
     ) -> DetectCtx<'c> {

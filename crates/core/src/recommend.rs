@@ -14,7 +14,7 @@
 
 use crate::detect::AntipatternClass;
 use crate::mine::Sessions;
-use crate::parse_step::ParsedRecord;
+use crate::records::ParsedRecord;
 use crate::store::TemplateId;
 use std::collections::HashMap;
 

@@ -147,7 +147,7 @@ impl StifleSolver {
         // Collect one representative query per distinct table.
         let mut tables: Vec<(String, Query)> = Vec::new();
         for &ri in &inst.records {
-            let table = ctx.records[ri].primary_table.clone()?;
+            let table = ctx.records.view(ri).primary_table()?.to_string();
             if tables.iter().any(|(t, _)| *t == table) {
                 continue;
             }
@@ -156,7 +156,7 @@ impl StifleSolver {
         if tables.len() < 2 {
             return None;
         }
-        let (col, _) = ctx.records[inst.records[0]].profile.single_equality()?;
+        let (col, _) = ctx.records.view(inst.records[0]).single_equality()?;
         let col = col.to_string();
         let (_, first_q) = &tables[0];
         let (_, value) = equality_parts(first_q.body.selection.as_ref()?)?;

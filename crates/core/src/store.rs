@@ -102,32 +102,46 @@ impl TemplateStore {
     /// are invalidated — the parse step uses this to make ids canonical
     /// (first appearance in record order) regardless of how parser threads
     /// interleaved their interning, and remaps its records in the same pass.
+    ///
+    /// The templates move in place, cycle by cycle; none is cloned.
     pub fn renumber(&self, order: &[TemplateId]) {
         let mut inner = self.write();
-        assert_eq!(
-            order.len(),
-            inner.templates.len(),
-            "renumber order must cover every template"
-        );
-        let templates: Vec<QueryTemplate> = order
-            .iter()
-            .map(|&TemplateId(old)| inner.templates[old as usize].clone())
-            .collect();
-        let by_fp: FnvHashMap<Fingerprint, TemplateId> = templates
-            .iter()
-            .enumerate()
-            .map(|(new, t)| (t.fingerprint, TemplateId(new as u32)))
-            .collect();
+        let n = inner.templates.len();
+        assert_eq!(order.len(), n, "renumber order must cover every template");
         // Validate before mutating: a panic past this point would leave the
         // two fields out of step, and poisoned-lock recovery assumes they
         // never are.
-        assert_eq!(
-            by_fp.len(),
-            templates.len(),
-            "renumber order must be a permutation"
-        );
-        inner.by_fp = by_fp;
-        inner.templates = templates;
+        let mut pending = vec![false; n];
+        for &TemplateId(old) in order {
+            let seen = pending
+                .get_mut(old as usize)
+                .map(|p| std::mem::replace(p, true));
+            assert_eq!(seen, Some(false), "renumber order must be a permutation");
+        }
+        // Every id is now pending. Position `new` receives the template at
+        // `order[new]`: follow each cycle of the permutation, swapping its
+        // members into place.
+        for start in 0..n {
+            if !pending[start] {
+                continue;
+            }
+            let mut cur = start;
+            loop {
+                pending[cur] = false;
+                let src = order[cur].0 as usize;
+                if src == start {
+                    break;
+                }
+                inner.templates.swap(cur, src);
+                cur = src;
+            }
+        }
+        let StoreInner { templates, by_fp } = &mut *inner;
+        for (new, t) in templates.iter().enumerate() {
+            if let Some(id) = by_fp.get_mut(&t.fingerprint) {
+                *id = TemplateId(new as u32);
+            }
+        }
     }
 
     /// Approximate bytes held by the store: interned templates (heap
@@ -176,8 +190,8 @@ mod tests {
     fn get_and_with_return_the_template() {
         let store = TemplateStore::new();
         let id = store.intern(tpl("SELECT a FROM t WHERE x = 1"));
-        assert_eq!(store.get(id).swc, "x = <num>");
-        assert_eq!(store.with(id, |t| t.sfc.clone()), "t");
+        assert_eq!(store.get(id).swc(), "x = <num>");
+        assert_eq!(store.with(id, |t| t.sfc().to_string()), "t");
     }
 
     #[test]
@@ -199,6 +213,36 @@ mod tests {
     }
 
     #[test]
+    fn renumber_keeps_ids_index_and_templates_in_step() {
+        let sqls: Vec<String> = (0..7)
+            .map(|i| format!("SELECT c{i} FROM t WHERE x = 1"))
+            .collect();
+        let store = TemplateStore::new();
+        let ids: Vec<TemplateId> = sqls.iter().map(|s| store.intern(tpl(s))).collect();
+        // A 4-cycle, a swap and a fixed point.
+        let order: Vec<TemplateId> = [3, 0, 1, 2, 5, 4, 6].map(TemplateId).to_vec();
+        store.renumber(&order);
+        assert_eq!(store.len(), sqls.len());
+        for (new, &TemplateId(old)) in order.iter().enumerate() {
+            let id = TemplateId(new as u32);
+            let expected = tpl(&sqls[old as usize]);
+            assert_eq!(store.get(id), expected, "template at id {new}");
+            assert_eq!(store.intern(expected), id, "index for id {new}");
+        }
+        // A duplicate in the order is refused and leaves the store as it was.
+        let before: Vec<QueryTemplate> = ids.iter().map(|&id| store.get(id)).collect();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.renumber(&[0, 0, 1, 2, 3, 4, 5].map(TemplateId));
+        }));
+        assert!(refused.is_err());
+        let after: Vec<QueryTemplate> = ids.iter().map(|&id| store.get(id)).collect();
+        assert_eq!(before, after);
+        for (i, t) in after.into_iter().enumerate() {
+            assert_eq!(store.intern(t), TemplateId(i as u32));
+        }
+    }
+
+    #[test]
     fn poisoned_lock_recovers_instead_of_cascading() {
         // A panic while the write guard is held (here: renumber's length
         // assert) poisons the RwLock. The store must keep serving readers
@@ -213,7 +257,7 @@ mod tests {
         assert_eq!(store.len(), 1);
         assert_eq!(store.intern(tpl("SELECT a FROM t WHERE x = 2")), a);
         let b = store.intern(tpl("SELECT b FROM t WHERE x = 1"));
-        assert_eq!(store.with(b, |t| t.sfc.clone()), "t");
+        assert_eq!(store.with(b, |t| t.sfc().to_string()), "t");
     }
 
     #[test]

@@ -4,18 +4,17 @@
 
 use sqlog_catalog::skyserver_catalog;
 use sqlog_core::checkpoint::{
-    run_checkpointed, CheckpointOptions, CheckpointOutcome, RunDir, Stage, Wire,
+    run_checkpointed, CheckpointOptions, CheckpointOutcome, RunDir, Stage, Wire, CHECKPOINT_SCHEMA,
 };
 use sqlog_core::{
     AntipatternClass, AntipatternInstance, ChosenRewrites, DedupStats, DetectOutput, MinedPatterns,
-    ParseCacheStats, ParseStats, ParsedLog, ParsedRecord, PatternData, Pipeline, PipelineConfig,
-    PipelineResult, Session, Sessions, TemplateId,
+    ParseCacheStats, ParseStats, ParsedLog, PatternData, Pipeline, PipelineConfig, PipelineResult,
+    Session, Sessions, TemplateId,
 };
 use sqlog_gen::{generate, GenConfig};
 use sqlog_log::{write_log_file, IngestPolicy, IngestStats};
 use sqlog_skeleton::{
-    Fingerprint, Fnv1a, OutputColumns, PredicateKind, PredicateProfile, QueryTemplate, Theta,
-    ValueKind,
+    Fnv1a, OutputColumns, PredicateKind, PredicateProfile, QueryTemplate, Theta, ValueKind,
 };
 use sqlog_sql::StatementKind;
 use std::collections::{HashMap, HashSet};
@@ -56,19 +55,6 @@ fn round_trip<T: Wire>(v: &T) -> T {
     let err = T::from_wire(&longer).err().expect("trailing byte refused");
     assert!(err.contains("trailing"), "{err}");
     back
-}
-
-fn record(entry_idx: u32, conjuncts: Vec<PredicateKind>, table: Option<&str>) -> ParsedRecord {
-    ParsedRecord {
-        entry_idx,
-        template: TemplateId(entry_idx % 2),
-        profile: PredicateProfile { conjuncts },
-        output: OutputColumns {
-            wildcard: table.is_none(),
-            names: vec!["ra".into(), "dëc".into(), String::new()],
-        },
-        primary_table: table.map(str::to_string),
-    }
 }
 
 #[test]
@@ -140,114 +126,99 @@ fn ingest_and_dedup_payloads_round_trip() {
 
 #[test]
 fn parse_payload_round_trips_every_predicate_and_value_kind() {
-    let values = vec![
-        ValueKind::Number("-1.5e3".into()),
-        ValueKind::String("o'brien ü\t".into()),
-        ValueKind::Null,
-        ValueKind::Bool(true),
-        ValueKind::Bool(false),
-        ValueKind::Variable("@ra".into()),
-        ValueKind::Column("p.objid".into()),
-        ValueKind::Complex,
+    let statements = [
+        // Every θ against every value kind, in both orientations.
+        "SELECT ra, dec AS dëc, ra + 1 FROM photoprimary WHERE objid = -1.5e3 AND s <> 'o''brien ü' \
+         AND n = NULL AND b < TRUE AND v <= @RA AND c > p.objid AND x >= ra + 1 AND 5 < y",
+        "SELECT ra, dec AS dëc, ra + 1 FROM photoprimary WHERE objid = 7 AND s <> '' \
+         AND n = NULL AND b < TRUE AND v <= @RA AND c > p.objid AND x >= ra + 1 AND 6 < y",
+        "SELECT * FROM t WHERE r NOT BETWEEN -1 AND 2 AND k IN (1, 'a', NULL, @v) \
+         AND f IS NULL AND name NOT LIKE 'x%' AND (a = 1 OR b = 2)",
+        "SELECT a FROM t JOIN u ON t.k = u.k",
+        "SELECT 1",
+        "INSERT INTO t VALUES (1)",
+        "SELECT broken FROM",
     ];
-    let thetas = [
-        Theta::Eq,
-        Theta::NotEq,
-        Theta::Lt,
-        Theta::LtEq,
-        Theta::Gt,
-        Theta::GtEq,
-    ];
-    let mut conjuncts: Vec<PredicateKind> = thetas
-        .iter()
-        .zip(values.iter().cycle())
-        .map(|(&theta, value)| PredicateKind::Comparison {
-            column: "objid".into(),
-            theta,
-            value: value.clone(),
-        })
-        .collect();
-    conjuncts.extend([
-        PredicateKind::Between {
-            column: "ra".into(),
-            low: values[0].clone(),
-            high: values[6].clone(),
-            negated: true,
-        },
-        PredicateKind::InList {
-            column: "type".into(),
-            values: values.clone(),
-            negated: false,
-        },
-        PredicateKind::InList {
-            column: "type".into(),
-            values: Vec::new(),
-            negated: true,
-        },
-        PredicateKind::IsNull {
-            column: "flags".into(),
-            negated: false,
-        },
-        PredicateKind::Like {
-            column: "name".into(),
-            pattern: values[1].clone(),
-            negated: true,
-        },
-        PredicateKind::Other,
-    ]);
-    let records = vec![
-        record(0, conjuncts, Some("photoprimary")),
-        record(3, Vec::new(), None),
-    ];
-    let parsed = ParsedLog {
-        records: records.clone(),
-        stats: ParseStats {
-            total: 9,
-            selects: 2,
-            errors: 3,
-            limit_exceeded: 1,
-            poison: 1,
-            degraded_shards: 1,
-            non_select: HashMap::from([
-                (StatementKind::Insert, 1),
-                (StatementKind::Ddl, 1),
-                (StatementKind::Exec, 1),
-                (StatementKind::Other, 1),
-            ]),
-        },
-        cache: ParseCacheStats {
-            enabled: true,
-            hits: 5,
-            misses: 3,
-            fallbacks: 1,
-            crosschecks: 2,
-        },
+    let log = sqlog_log::QueryLog::from_entries(
+        statements
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                sqlog_log::LogEntry::minimal(i as u64, *s, sqlog_log::Timestamp::from_secs(0))
+                    .with_user("u")
+            })
+            .collect(),
+    );
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog);
+    let store = sqlog_core::TemplateStore::new();
+    let mut parsed = pipeline.op_parse(&sqlog_log::LogView::identity(&log), &store);
+    assert_eq!(parsed.records.len(), 5);
+    parsed.stats = ParseStats {
+        total: 9,
+        selects: 2,
+        errors: 3,
+        limit_exceeded: 1,
+        poison: 1,
+        degraded_shards: 1,
+        non_select: HashMap::from([
+            (StatementKind::Insert, 1),
+            (StatementKind::Ddl, 1),
+            (StatementKind::Exec, 1),
+            (StatementKind::Other, 1),
+        ]),
+    };
+    parsed.cache = ParseCacheStats {
+        enabled: true,
+        hits: 5,
+        misses: 3,
+        fallbacks: 1,
+        crosschecks: 2,
     };
     let back = round_trip(&parsed);
-    assert_eq!(back.records, records);
+    assert_eq!(back.records, parsed.records);
     assert_eq!(back.stats, parsed.stats);
     assert_eq!(back.cache, parsed.cache);
+    for (i, sql) in statements.iter().take(5).enumerate() {
+        let q = sqlog_sql::parse_query(sql).unwrap();
+        let view = back.records.view(i);
+        assert_eq!(
+            view.profile(),
+            PredicateProfile::of_select(&q.body),
+            "{sql}"
+        );
+        assert_eq!(view.output(), &OutputColumns::of_select(&q.body), "{sql}");
+    }
+    // The literal slots really are per record: the first two statements
+    // share a template and differ only in their constants.
+    assert_eq!(back.records[0].template, back.records[1].template);
+    assert_eq!(
+        back.records.view(0).profile().conjuncts[1],
+        PredicateKind::Comparison {
+            column: "s".into(),
+            theta: Theta::NotEq,
+            value: ValueKind::String("o'brien ü".into()),
+        }
+    );
 
     let empty = ParsedLog {
-        records: Vec::new(),
+        records: Default::default(),
         stats: ParseStats::default(),
         cache: ParseCacheStats::default(),
     };
     assert!(round_trip(&empty).records.is_empty());
 
-    let template = QueryTemplate {
-        ssc: "SELECT ra".into(),
-        sfc: "FROM photoprimary".into(),
-        swc: "WHERE objid = ?".into(),
-        sc: "ra".into(),
-        fc: "photoprimary".into(),
-        wc: "objid = ?".into(),
-        tail: String::new(),
-        full: "SELECT ra FROM photoprimary WHERE objid = ?".into(),
-        fingerprint: Fingerprint(u64::MAX),
-        triple_fingerprint: Fingerprint(0),
-    };
-    assert_eq!(round_trip(&vec![template.clone()]), vec![template]);
+    let templates: Vec<QueryTemplate> = (0..store.len() as u32)
+        .map(|i| store.get(TemplateId(i)))
+        .collect();
+    assert_eq!(round_trip(&templates), templates);
+    // A clause range outside the text is damage, not a panic.
+    let select_1 = templates.last().unwrap();
+    assert_eq!(select_1.full, "SELECT <num>");
+    let mut bytes = select_1.to_wire();
+    let last = bytes.len() - 1;
+    bytes[last] = 0x7f;
+    assert!(QueryTemplate::from_wire(&bytes).is_err());
 }
 
 #[test]
@@ -456,7 +427,7 @@ fn payloads_that_do_not_fit_the_run_are_refused() {
         skipped_overlaps: 0,
     };
     let (resumed, _) = damage_and_resume("forged-solve", Stage::Solve, |p| {
-        forge(p, Stage::Solve, 2, &chosen.to_wire())
+        forge(p, Stage::Solve, CHECKPOINT_SCHEMA, &chosen.to_wire())
     });
     assert!(resumed.warnings[0].contains("out of order or out of bounds"));
 
@@ -467,7 +438,7 @@ fn payloads_that_do_not_fit_the_run_are_refused() {
             entries: 1,
             ..IngestStats::default()
         };
-        forge(p, Stage::Ingest, 2, &stats.to_wire())
+        forge(p, Stage::Ingest, CHECKPOINT_SCHEMA, &stats.to_wire())
     });
     assert_eq!(resumed.ingest_stats.entries, fresh.stats.original_size);
 
@@ -475,7 +446,7 @@ fn payloads_that_do_not_fit_the_run_are_refused() {
     damage_and_resume("trailing-mine", Stage::Mine, |p| {
         let mut payload = MinedPatterns::default().to_wire();
         payload.push(0);
-        forge(p, Stage::Mine, 2, &payload)
+        forge(p, Stage::Mine, CHECKPOINT_SCHEMA, &payload)
     });
 }
 
@@ -491,6 +462,50 @@ fn schema_1_checkpoint_is_refused_and_rerun() {
         "{:?}",
         resumed.warnings
     );
+}
+
+#[test]
+fn schema_2_parse_checkpoint_is_reported_and_rerun() {
+    // A parse checkpoint from the per-record-facts layout: same stage,
+    // older schema number in its header.
+    let (resumed, fresh) = damage_and_resume("schema-2", Stage::Parse, |p| {
+        let bytes = std::fs::read(p).unwrap();
+        let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+        forge(p, Stage::Parse, 2, &bytes[nl + 1..]);
+    });
+    assert!(
+        resumed.warnings[0].contains("unsupported checkpoint schema 2"),
+        "{:?}",
+        resumed.warnings
+    );
+    assert!(!resumed.loaded_stages.contains(&"parse"));
+    let bytes = |log: &sqlog_log::QueryLog| {
+        let mut out = Vec::new();
+        sqlog_log::write_log(log, &mut out).unwrap();
+        out
+    };
+    assert!(bytes(&resumed.result.clean_log) == bytes(&fresh.clean_log));
+    assert!(bytes(&resumed.result.removal_log) == bytes(&fresh.removal_log));
+}
+
+#[test]
+fn parse_checkpoint_stores_each_template_once() {
+    // `genlog --scale 200000 --seed 1` at one thread: the per-record
+    // layout wrote 9,442,112 B here; templates, facts and literal vectors
+    // take under 3.5 MB.
+    let scratch = Scratch::new("parse-size");
+    let input = scratch.path("input.tsv");
+    write_log_file(&generate(&GenConfig::with_scale(200_000, 1)), &input).unwrap();
+    let catalog = skyserver_catalog();
+    let pipeline = Pipeline::new(&catalog).with_config(config(1));
+    let dir = RunDir::create(scratch.path("run")).unwrap();
+    let stopped =
+        run_checkpointed(&pipeline, &dir, &opts(&input, false, Some(Stage::Parse))).unwrap();
+    assert!(stopped.is_none(), "the run stops after parse");
+    let bytes = std::fs::metadata(dir.checkpoint_path(Stage::Parse))
+        .unwrap()
+        .len();
+    assert!(bytes <= 3_500_000, "parse.ckpt is {bytes} B");
 }
 
 fn dir_bytes(dir: &Path) -> u64 {

@@ -296,6 +296,14 @@ impl Recorder {
         *Self::state(inner).counters.entry(name).or_insert(0) += delta;
     }
 
+    /// Like [`Self::counter`], but a zero `delta` still creates the
+    /// counter: for counts whose zero is a finding ("no record needed
+    /// this"), not an absence of data.
+    pub fn counter_or_zero(&self, name: &'static str, delta: u64) {
+        let Some(inner) = &self.inner else { return };
+        *Self::state(inner).counters.entry(name).or_insert(0) += delta;
+    }
+
     /// Records one observation into a named log2 histogram.
     pub fn histogram(&self, name: &'static str, value: u64) {
         let Some(inner) = &self.inner else { return };
@@ -639,11 +647,13 @@ mod tests {
         rec.counter("parsed", 2);
         rec.counter("parsed", 3);
         rec.counter("zero", 0); // no-op: absent from the snapshot
+        rec.counter_or_zero("reported", 0);
         rec.histogram("lat", 3);
         rec.histogram("lat", 100);
         let counters = rec.counters();
         assert_eq!(counters.get("parsed"), Some(&5));
         assert!(!counters.contains_key("zero"));
+        assert_eq!(counters.get("reported"), Some(&0));
         assert_eq!(rec.histograms()["lat"].count, 2);
     }
 

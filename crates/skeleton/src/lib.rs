@@ -7,17 +7,20 @@
 //! the antipattern definitions (Defs. 11–16) consume.
 //!
 //! ```
-//! use sqlog_skeleton::QueryTemplate;
+//! use sqlog_skeleton::{render_where_clause, Mode, QueryTemplate};
 //! use sqlog_sql::parse_query;
 //!
-//! let a = QueryTemplate::of_query(
-//!     &parse_query("SELECT name FROM Employee WHERE empId = 8").unwrap());
-//! let b = QueryTemplate::of_query(
-//!     &parse_query("SELECT name FROM Employee WHERE empId = 1").unwrap());
+//! let qa = parse_query("SELECT name FROM Employee WHERE empId = 8").unwrap();
+//! let qb = parse_query("SELECT name FROM Employee WHERE empId = 1").unwrap();
+//! let (a, b) = (QueryTemplate::of_query(&qa), QueryTemplate::of_query(&qb));
 //! assert!(a.similar(&b));                 // Def. 6
 //! assert_eq!(a.fingerprint, b.fingerprint);
-//! assert_eq!(a.swc, "empid = <num>");     // skeleton WHERE clause
-//! assert_ne!(a.wc, b.wc);                 // canonical WHERE clauses differ
+//! assert_eq!(a.swc(), "empid = <num>");   // skeleton WHERE clause
+//! // Canonical WHERE clauses (with constants) differ.
+//! assert_ne!(
+//!     render_where_clause(&qa.body, Mode::Canonical),
+//!     render_where_clause(&qb.body, Mode::Canonical),
+//! );
 //! ```
 
 #![warn(missing_docs)]
@@ -33,6 +36,7 @@ pub use fingerprint::{Fingerprint, Fnv1a, FnvBuildHasher, FnvHashMap, FnvHashSet
 pub use normalize::{normalize_sql_text, text_fingerprint};
 pub use predicate::{
     base_tables, primary_table, OutputColumns, PredicateKind, PredicateProfile, Theta, ValueKind,
+    ValueRef,
 };
 pub use rawkey::{raw_shape_scan, RawKey, RawLiteral, RawLiteralKind};
 pub use skeleton::{

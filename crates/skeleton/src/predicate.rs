@@ -48,7 +48,7 @@ impl Theta {
 }
 
 /// The value side of a column-vs-value predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ValueKind {
     /// A numeric literal (original text preserved).
     Number(String),
@@ -104,10 +104,47 @@ impl ValueKind {
             _ => None,
         }
     }
+
+    /// The borrowed form of this value.
+    pub fn borrowed(&self) -> ValueRef<'_> {
+        match self {
+            ValueKind::Number(n) => ValueRef::Number(n),
+            ValueKind::String(s) => ValueRef::String(s),
+            ValueKind::Null => ValueRef::Null,
+            ValueKind::Bool(b) => ValueRef::Bool(*b),
+            ValueKind::Variable(v) => ValueRef::Variable(v),
+            ValueKind::Column(c) => ValueRef::Column(c),
+            ValueKind::Complex => ValueRef::Complex,
+        }
+    }
+}
+
+/// A borrowed [`ValueKind`], for values whose text lives elsewhere (a
+/// parsed record keeps its literal text in a shared arena).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum ValueRef<'a> {
+    Number(&'a str),
+    String(&'a str),
+    Null,
+    Bool(bool),
+    Variable(&'a str),
+    Column(&'a str),
+    Complex,
+}
+
+impl ValueRef<'_> {
+    /// True when the value is a constant (number, string, bool).
+    pub fn is_constant(&self) -> bool {
+        matches!(
+            self,
+            ValueRef::Number(_) | ValueRef::String(_) | ValueRef::Bool(_)
+        )
+    }
 }
 
 /// One top-level conjunct of the WHERE clause, classified.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PredicateKind {
     /// `column θ value` (either orientation in the source).
     Comparison {
@@ -251,7 +288,7 @@ fn strip(e: &Expr) -> &Expr {
 }
 
 /// The predicate profile of one SELECT body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PredicateProfile {
     /// Classified top-level conjuncts of the WHERE clause, in source order.
     pub conjuncts: Vec<PredicateKind>,
@@ -317,7 +354,7 @@ impl PredicateProfile {
 
 /// Output columns of a SELECT body, for CTH's "attribute of the first query's
 /// SELECT clause appears in the WHERE clause of a later query" test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct OutputColumns {
     /// True if the projection contains `*` or `alias.*` — then *any*
     /// attribute of the source tables may be in the output.

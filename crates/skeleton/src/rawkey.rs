@@ -103,11 +103,27 @@ impl RawLiteral {
     /// The literal's value as the lexer yields it: a number's token text
     /// verbatim, a string's content with each `''` escape folded to `'`.
     pub fn value(&self, sql: &str) -> Option<String> {
+        let mut value = String::new();
+        self.push_value(sql, &mut value)?;
+        Some(value)
+    }
+
+    /// Appends [`Self::value`] to `out` without allocating a string of its
+    /// own.
+    pub fn push_value(&self, sql: &str, out: &mut String) -> Option<()> {
         let text = self.text(sql)?;
-        Some(match self.kind {
-            RawLiteralKind::String { has_escape: true } => text.replace("''", "'"),
-            _ => text.to_string(),
-        })
+        match self.kind {
+            RawLiteralKind::String { has_escape: true } => {
+                for (i, part) in text.split("''").enumerate() {
+                    if i > 0 {
+                        out.push('\'');
+                    }
+                    out.push_str(part);
+                }
+            }
+            _ => out.push_str(text),
+        }
+        Some(())
     }
 }
 

@@ -22,6 +22,7 @@
 
 use sqlog_sql::ast::*;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// Rendering mode: with or without literal placeholders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,8 +139,20 @@ pub fn render_tail(q: &Query, mode: Mode) -> String {
 
 // ---- internal walkers ------------------------------------------------------
 
-fn query(q: &Query, mode: Mode, out: &mut String) {
-    select_body(&q.body, mode, out);
+/// Renders the full skeleton of a query once, returning the text and the
+/// byte ranges of its outer SELECT, FROM and WHERE clauses within it. The
+/// clause texts equal [`render_select_clause`], [`render_from_clause`] and
+/// [`render_where_clause`] in [`Mode::Skeleton`]; an absent clause is an
+/// empty range.
+pub(crate) fn render_template(q: &Query) -> (String, [Range<u32>; 3]) {
+    let mut out = String::with_capacity(96);
+    let clauses = query(q, Mode::Skeleton, &mut out);
+    (out, clauses)
+}
+
+/// Renders `q` into `out`; returns the clause ranges of its outer body.
+fn query(q: &Query, mode: Mode, out: &mut String) -> [Range<u32>; 3] {
+    let clauses = select_body(&q.body, mode, out);
     for (op, all, body) in &q.set_ops {
         out.push_str(match op {
             SetOperator::Union => " UNION",
@@ -170,9 +183,13 @@ fn query(q: &Query, mode: Mode, out: &mut String) {
         out.push_str(" LIMIT ");
         expr(l, mode, out);
     }
+    clauses
 }
 
-fn select_body(s: &Select, mode: Mode, out: &mut String) {
+/// Renders one SELECT body; returns the ranges its projection, FROM list
+/// and WHERE expression occupy in `out`.
+fn select_body(s: &Select, mode: Mode, out: &mut String) -> [Range<u32>; 3] {
+    let pos = |out: &String| u32::try_from(out.len()).expect("skeleton text < 4 GiB");
     out.push_str("SELECT ");
     if s.distinct {
         out.push_str("DISTINCT ");
@@ -185,18 +202,26 @@ fn select_body(s: &Select, mode: Mode, out: &mut String) {
         }
         out.push(' ');
     }
+    let start = pos(out);
     projection(&s.projection, mode, out);
+    let ssc = start..pos(out);
     if let Some(into) = &s.into {
         out.push_str(" INTO ");
         object_name(into, out);
     }
+    let mut sfc = pos(out)..pos(out);
     if !s.from.is_empty() {
         out.push_str(" FROM ");
+        let start = pos(out);
         from(&s.from, mode, out);
+        sfc = start..pos(out);
     }
+    let mut swc = pos(out)..pos(out);
     if let Some(w) = &s.selection {
         out.push_str(" WHERE ");
+        let start = pos(out);
         expr(w, mode, out);
+        swc = start..pos(out);
     }
     if !s.group_by.is_empty() {
         out.push_str(" GROUP BY ");
@@ -211,6 +236,7 @@ fn select_body(s: &Select, mode: Mode, out: &mut String) {
         out.push_str(" HAVING ");
         expr(h, mode, out);
     }
+    [ssc, sfc, swc]
 }
 
 fn projection(items: &[SelectItem], mode: Mode, out: &mut String) {

@@ -31,19 +31,21 @@ impl Detector for ImplicitColumnsDetector {
         // `ctx.records` directly would double-count across shards.
         for session in ctx.sessions {
             for &ri in &session.records {
-                let rec = &ctx.records[ri];
+                // The record view: per-template facts (output columns,
+                // primary table, predicates) plus this record's literals.
+                let rec = ctx.records.view(ri);
                 // Only solvable when the table (and thus the column list)
                 // is known to the catalog.
                 let solvable = rec
-                    .primary_table
-                    .as_deref()
+                    .primary_table()
                     .is_some_and(|t| ctx.catalog.table(t).is_some());
-                if rec.output.wildcard && rec.output.names.is_empty() {
+                let output = rec.output();
+                if output.wildcard && output.names.is_empty() {
                     out.push(AntipatternInstance {
                         class: AntipatternClass::Custom("ImplicitColumns".into()),
                         records: vec![ri],
-                        identity: vec![rec.template],
-                        marker_keys: vec![vec![rec.template]],
+                        identity: vec![rec.template()],
+                        marker_keys: vec![vec![rec.template()]],
                         solvable,
                     });
                 }
@@ -63,9 +65,8 @@ impl Solver for ImplicitColumnsSolver {
 
     fn solve(&self, inst: &AntipatternInstance, ctx: &DetectCtx<'_>) -> Option<Vec<String>> {
         let ri = *inst.records.first()?;
-        let rec = &ctx.records[ri];
-        let table = ctx.catalog.table(rec.primary_table.as_deref()?)?;
-        let entry = ctx.log.entry(rec.entry_idx as usize);
+        let table = ctx.catalog.table(ctx.records.view(ri).primary_table()?)?;
+        let entry = ctx.record_entry(ri);
         let Statement::Select(mut q) = parse_statement(&entry.statement).ok()? else {
             return None;
         };

@@ -380,11 +380,17 @@ fn ledger_entry_carries_fingerprints_and_memory_counters() {
             report.obs.counters.keys().collect::<Vec<_>>()
         );
     }
-    assert!(
-        report.obs.counters.contains_key("mem.template_store_bytes"),
-        "{:?}",
-        report.obs.counters.keys().collect::<Vec<_>>()
-    );
+    for name in [
+        "mem.template_store_bytes",
+        "mem.parsed_records_bytes",
+        "parse.unfactored_records",
+    ] {
+        assert!(
+            report.obs.counters.contains_key(name),
+            "{name} missing: {:?}",
+            report.obs.counters.keys().collect::<Vec<_>>()
+        );
+    }
     // Quantiles ride along in the serialized histograms.
     let parse_hist = entry
         .report
